@@ -10,6 +10,12 @@ optimal bounds of the family are the extreme eigenvalues of its Hermitian
 part.  If the form is not real (Hermiticity defect above tolerance) the
 family is declared non-conforming rather than silently symmetrized: hiding
 the asymmetry would mask a modeling error.
+
+Every per-atom sum in the package is formed from the factors
+``Y_i = A_i P_i`` (:func:`atom_factor`, built from the subspace basis, never
+from the ``n x n`` projection) and accumulated one small product
+``c_i X_i* Y_i`` at a time in ascending atom order (:func:`atom_sum`).  The
+frame operator is ``S = L* (sum_i weight_i v_i^2 Y_i* Y_i) R``.
 """
 
 from __future__ import annotations
@@ -35,15 +41,16 @@ from .family import (
     strip_controls,
 )
 from .linalg import (
+    Subspace,
+    _nonsingular_operator,
     adjoint,
     as_vector,
     inverse,
     is_positive,
     operator_norm,
     operator_sqrt,
-    projection,
+    orthonormal_columns,
     spectral_summary,
-    transport_subspace,
 )
 from .tolerances import TOL_COMM, TOL_DUAL, TOL_FRAME, TOL_HERM, TOL_PD
 
@@ -70,15 +77,48 @@ __all__ = [
 ]
 
 
+def atom_factor(atom) -> np.ndarray:
+    """``A P`` for one atom, formed through the subspace basis ``B`` as ``(A B) B*``.
+
+    Costs ``O(d r n)`` and never builds the ``n x n`` projection.  Every
+    per-atom term in the package is a product of two such factors, possibly
+    composed with fixed operators on the right.
+    """
+    b = atom.subspace.basis
+    return (atom.local_op @ b) @ adjoint(b)
+
+
+def atom_sum(dim: int, terms) -> np.ndarray:
+    """``sum_i c_i X_i* Y_i`` over ``(c_i, X_i, Y_i)`` triples, in the order given.
+
+    Callers pass the triples in ascending atom order.  Each term is one small
+    product of ``d x n`` factors added to the running total.  The sum over
+    atoms is never handed to BLAS as one long inner dimension, whose split
+    between threads could change the rounding, so the result has the same
+    bits at every BLAS thread count.
+    """
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    for c, x, y in terms:
+        total += np.conj(x).T @ (c * y)
+    return total
+
+
+def _gram_terms(family):
+    for atom in family.atoms:
+        y = atom_factor(atom)
+        yield atom.weight * atom.frame_weight**2, y, y
+
+
 def atom_core(atom) -> np.ndarray:
     """``P A* A P`` for one atom: the uncontrolled positive core."""
-    p = projection(atom.subspace)
-    return p @ adjoint(atom.local_op) @ atom.local_op @ p
+    y = atom_factor(atom)
+    return adjoint(y) @ y
 
 
 def controlled_atom_term(family: ControlledFamily, atom) -> np.ndarray:
     """``L* (P A* A P) R`` for one atom of a controlled family."""
-    return adjoint(family.control_left) @ atom_core(atom) @ family.control_right
+    y = atom_factor(atom)
+    return adjoint(y @ family.control_left) @ (y @ family.control_right)
 
 
 def gram_form(family: ControlledFamily, f, g) -> complex:
@@ -95,11 +135,8 @@ def gram_form(family: ControlledFamily, f, g) -> complex:
     rf = family.control_right @ f
     lg = family.control_left @ g
     total = 0.0 + 0.0j
-    for atom in family.atoms:
-        p = projection(atom.subspace)
-        x = atom.local_op @ (p @ rf)
-        y = atom.local_op @ (p @ lg)
-        total += atom.weight * atom.frame_weight**2 * complex(np.vdot(y, x))
+    for c, ap, _ in _gram_terms(family):
+        total += c * complex(np.vdot(ap @ lg, ap @ rf))
     return total
 
 
@@ -115,29 +152,21 @@ def gram_form_samples(family: ControlledFamily, vectors: np.ndarray) -> np.ndarr
     rf = family.control_right @ vectors
     lf = family.control_left @ vectors
     vals = np.zeros(vectors.shape[1], dtype=np.complex128)
-    for atom in family.atoms:
-        ap = atom.local_op @ projection(atom.subspace)
-        x = ap @ rf
-        y = ap @ lf
-        vals += atom.weight * atom.frame_weight**2 * np.sum(np.conj(y) * x, axis=0)
+    for c, ap, _ in _gram_terms(family):
+        vals += c * np.sum(np.conj(ap @ lf) * (ap @ rf), axis=0)
     return vals
 
 
 def frame_operator(family: ControlledFamily) -> np.ndarray:
-    """Assemble the controlled frame operator."""
+    """Assemble the controlled frame operator ``L* (sum_i w_i v_i^2 Y_i* Y_i) R``."""
     require_valid(family)
-    total = np.zeros((family.dim, family.dim), dtype=np.complex128)
-    for atom in family.atoms:
-        total += atom.weight * atom.frame_weight**2 * controlled_atom_term(family, atom)
-    return total
+    core = atom_sum(family.dim, _gram_terms(family))
+    return adjoint(family.control_left) @ core @ family.control_right
 
 
 def plain_frame_operator(family: PlainFamily) -> np.ndarray:
     """Frame operator of an uncontrolled family: Hermitian PSD by construction."""
-    total = np.zeros((family.dim, family.dim), dtype=np.complex128)
-    for atom in family.atoms:
-        total += atom.weight * atom.frame_weight**2 * atom_core(atom)
-    return total
+    return atom_sum(family.dim, _gram_terms(family))
 
 
 def optimal_bounds(
@@ -293,16 +322,16 @@ def transform_family(
             f"adjoint of the transform does not commute with the controls "
             f"(defects {defects[0]:.3e}, {defects[1]:.3e} > {tol_comm:.3e})"
         )
+    v = _nonsingular_operator(v, family.dim)
     new_atoms = []
     for atom in family.atoms:
-        p = projection(atom.subspace)
         new_atoms.append(
             type(atom)(
                 id=atom.id,
                 weight=atom.weight,
                 frame_weight=atom.frame_weight,
-                subspace=transport_subspace(v, atom.subspace),
-                local_op=atom.local_op @ p @ vh,
+                subspace=Subspace(orthonormal_columns(v @ atom.subspace.basis)),
+                local_op=atom_factor(atom) @ vh,
             )
         )
     return ControlledFamily(family.dim, tuple(new_atoms), family.control_left, family.control_right)

@@ -261,6 +261,22 @@ def projection(s: Subspace) -> np.ndarray:
     return p
 
 
+def _nonsingular_operator(v, dim: int) -> np.ndarray:
+    """``v`` as an immutable ``dim x dim`` operator, checked to be invertible.
+
+    Raises :class:`SingularOperatorError` when ``v`` is numerically singular,
+    since subspaces cannot be transported along it.  A family transform runs
+    this check once, not once per atom.
+    """
+    v = _require_square(as_operator(v))
+    if v.shape[0] != dim:
+        raise DimensionError("operator and subspace live in different dimensions")
+    sv = np.linalg.svd(v, compute_uv=False)
+    if sv[-1] <= TOL_SING_REL * sv[0]:
+        raise SingularOperatorError("cannot transport a subspace along a singular operator")
+    return v
+
+
 def transport_subspace(v: np.ndarray, s: Subspace, drop_tol: float = DROP_TOL) -> Subspace:
     """Image of a subspace under an invertible operator.
 
@@ -268,12 +284,7 @@ def transport_subspace(v: np.ndarray, s: Subspace, drop_tol: float = DROP_TOL) -
     projection ``P'`` satisfies ``P v* = P v* P'``, and commutes through
     ``v`` when ``v`` is unitary.
     """
-    v = _require_square(as_operator(v))
-    if v.shape[0] != s.ambient_dim:
-        raise DimensionError("operator and subspace live in different dimensions")
-    sv = np.linalg.svd(v, compute_uv=False)
-    if sv[-1] <= TOL_SING_REL * sv[0]:
-        raise SingularOperatorError("cannot transport a subspace along a singular operator")
+    v = _nonsingular_operator(v, s.ambient_dim)
     return Subspace(orthonormal_columns(v @ s.basis, drop_tol))
 
 

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import optimal_bounds
+from .analysis import _commutation_defect, atom_factor, atom_sum, optimal_bounds
 from .errors import PairingError
 from .family import ControlledFamily, FrameReport, MultiplierSymbol, require_valid
-from .linalg import adjoint, inverse, is_positive, operator_norm, projection, sigma_min
+from .linalg import adjoint, inverse, is_positive, operator_norm, sigma_min
 from .tolerances import TOL_COMM, TOL_FRAME, TOL_HERM, TOL_RES
 
 __all__ = [
@@ -84,21 +84,22 @@ class BesselPair:
         return int(self.lam.dim)
 
 
+def _cross_sum(pair: BesselPair) -> np.ndarray:
+    """Uncontrolled pair sum ``sum_i weight_i v_i w_i P_Gi Gam_i* Lam_i P_Fi``."""
+    terms = (
+        (a.weight * a.frame_weight * b.frame_weight, atom_factor(b), atom_factor(a))
+        for a, b in zip(pair.lam.atoms, pair.gam.atoms)
+    )
+    return atom_sum(pair.dim, terms)
+
+
 def pair_frame_operator(pair: BesselPair) -> np.ndarray:
     """``sum_i weight_i v_i w_i U P_Gi Gam_i* Lam_i P_Fi T``.
 
     The operator norm never exceeds the geometric mean of the two Bessel
     bounds, and its adjoint is the pair operator with the roles swapped.
     """
-    t = pair.lam.control_left
-    u = pair.gam.control_left
-    out = np.zeros((pair.dim, pair.dim), dtype=np.complex128)
-    for a, b in zip(pair.lam.atoms, pair.gam.atoms):
-        pf = projection(a.subspace)
-        pg = projection(b.subspace)
-        term = u @ pg @ adjoint(b.local_op) @ a.local_op @ pf @ t
-        out += a.weight * a.frame_weight * b.frame_weight * term
-    return out
+    return pair.gam.control_left @ _cross_sum(pair) @ pair.lam.control_left
 
 
 @dataclass(frozen=True)
@@ -131,15 +132,8 @@ def pair_bounded_below(
     if smin <= tol:
         return PairBoundedBelowReport(False, smin, None, False, None, False)
     k = inverse(s)
-    t = pair.lam.control_left
-    u = pair.gam.control_left
-    total = np.zeros((pair.dim, pair.dim), dtype=np.complex128)
-    for a, b in zip(pair.lam.atoms, pair.gam.atoms):
-        pf = projection(a.subspace)
-        pg = projection(b.subspace)
-        term = a.frame_weight * b.frame_weight * (k @ u @ pg @ adjoint(b.local_op) @ a.local_op @ pf @ t)
-        total += a.weight * term
-    residual = operator_norm(total - np.eye(pair.dim))
+    # The weighted atom terms K U P_Gi Gam_i* Lam_i P_Fi T sum to K times the pair operator.
+    residual = operator_norm(k @ s - np.eye(pair.dim))
     certified = smin**2 / pair.gam_bounds.B_opt
     return PairBoundedBelowReport(
         bounded_below=True,
@@ -162,10 +156,6 @@ class PairSumReport:
     positive: bool
 
 
-def _comm_defect(a: np.ndarray, b: np.ndarray) -> float:
-    return operator_norm(a @ b - b @ a) / max(1.0, operator_norm(a) * operator_norm(b))
-
-
 def pair_sum_positivity(
     pair: BesselPair,
     tol_comm: float = TOL_COMM,
@@ -180,20 +170,14 @@ def pair_sum_positivity(
     """
     t = pair.lam.control_left
     u = pair.gam.control_left
-    s_lam_gam = np.zeros((pair.dim, pair.dim), dtype=np.complex128)
-    for a, b in zip(pair.lam.atoms, pair.gam.atoms):
-        pf = projection(a.subspace)
-        pg = projection(b.subspace)
-        s_lam_gam += (
-            a.weight * a.frame_weight * b.frame_weight * (pg @ adjoint(b.local_op) @ a.local_op @ pf)
-        )
+    s_lam_gam = _cross_sum(pair)
     s_sum = s_lam_gam + adjoint(s_lam_gam)
     notes: list[str] = []
-    if _comm_defect(t, u) > tol_comm:
+    if _commutation_defect(t, u) > tol_comm:
         notes.append("controls do not commute with each other")
-    if _comm_defect(t, s_sum) > tol_comm:
+    if _commutation_defect(t, s_sum) > tol_comm:
         notes.append("first control does not commute with the uncontrolled pair sum")
-    if _comm_defect(u, s_sum) > tol_comm:
+    if _commutation_defect(u, s_sum) > tol_comm:
         notes.append("second control does not commute with the uncontrolled pair sum")
     if not is_positive(s_sum, TOL_HERM):
         notes.append("uncontrolled pair sum is not positive")
@@ -222,15 +206,11 @@ def multiplier(m: MultiplierSymbol, pair: BesselPair) -> np.ndarray:
         raise PairingError(
             f"symbol has {len(m.values)} values for {len(pair.lam.atoms)} atoms"
         )
-    t = pair.lam.control_left
-    u = pair.gam.control_left
-    out = np.zeros((pair.dim, pair.dim), dtype=np.complex128)
-    for mi, a, b in zip(m.values, pair.lam.atoms, pair.gam.atoms):
-        pf = projection(a.subspace)
-        pg = projection(b.subspace)
-        term = t @ pf @ adjoint(a.local_op) @ b.local_op @ pg @ u
-        out += a.weight * mi * a.frame_weight * b.frame_weight * term
-    return out
+    terms = (
+        (a.weight * mi * a.frame_weight * b.frame_weight, atom_factor(a), atom_factor(b))
+        for mi, a, b in zip(m.values, pair.lam.atoms, pair.gam.atoms)
+    )
+    return pair.lam.control_left @ atom_sum(pair.dim, terms) @ pair.gam.control_left
 
 
 @dataclass(frozen=True)

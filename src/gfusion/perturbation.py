@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import atom_core, optimal_bounds
+from .analysis import controlled_atom_term, optimal_bounds
 from .errors import NotAFrameError, PairingError
 from .family import ControlledFamily, total_v2
-from .linalg import adjoint, hermitian_part, operator_norm, random_unit_vectors
+from .linalg import hermitian_part, operator_norm, random_unit_vectors
 from .tolerances import DEFAULT_SEED, TOL_PD
 
 __all__ = [
@@ -93,11 +93,9 @@ def _align(lam: ControlledFamily, gam: ControlledFamily) -> None:
 
 def _atom_deltas(lam: ControlledFamily, gam: ControlledFamily):
     """Per atom: Hermitian parts of the controlled reference, perturbed, and difference terms."""
-    lh = adjoint(lam.control_left)
-    r = lam.control_right
-    for a, b in zip(lam.atoms, gam.atoms):
-        ref = hermitian_part(lh @ atom_core(a) @ r)
-        per = hermitian_part(lh @ atom_core(b) @ r)
+    for a, b in zip(lam.atoms, gam.atoms):  # both families carry the control pair of lam
+        ref = hermitian_part(controlled_atom_term(lam, a))
+        per = hermitian_part(controlled_atom_term(lam, b))
         yield a.id, ref, per, per - ref
 
 

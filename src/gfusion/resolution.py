@@ -12,10 +12,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import controlled_atom_term, frame_operator, optimal_bounds
+from .analysis import atom_factor, frame_operator, optimal_bounds
 from .errors import DimensionError, HypothesisError, NotAFrameError, PairingError
 from .family import ControlledFamily, replace_controls, require_valid
-from .linalg import adjoint, inverse, operator_norm, projection, random_unit_vectors
+from .linalg import adjoint, inverse, operator_norm, random_unit_vectors
 from .tolerances import DEFAULT_SEED, TOL_COMM, TOL_FRAME, TOL_RES
 
 __all__ = [
@@ -100,10 +100,12 @@ def canonical_resolutions(family: ControlledFamily, tol_frame: float = TOL_FRAME
     s_inv = inverse(frame_operator(family))
     left_terms = []
     right_terms = []
-    for atom in family.atoms:
-        term = atom.frame_weight**2 * controlled_atom_term(family, atom)
-        left_terms.append(s_inv @ term)
-        right_terms.append(term @ s_inv)
+    for atom in family.atoms:  # S^-1 L* Y* Y R and L* Y* Y R S^-1, with Y = v A P
+        y = atom.frame_weight * atom_factor(atom)
+        yl = adjoint(y @ family.control_left)
+        yr = y @ family.control_right
+        left_terms.append((s_inv @ yl) @ yr)
+        right_terms.append(yl @ (yr @ s_inv))
     weights = tuple(a.weight for a in family.atoms)
     return CanonicalResolutions(
         left=OperatorFamily(tuple(left_terms), weights),
@@ -152,15 +154,11 @@ def dual_resolution_bounds(
                 f"inverse frame operator does not commute with the {name} control "
                 f"(defect {defect:.3e})"
             )
+    r_dual = s_inv @ family.control_right
     terms = []
     for atom in family.atoms:
-        p = projection(atom.subspace)
-        dual_piece = atom.local_op @ p @ s_inv
-        term = (
-            atom.frame_weight**2
-            * (adjoint(family.control_left) @ p @ adjoint(atom.local_op) @ dual_piece @ family.control_right)
-        )
-        terms.append(term)
+        y = atom.frame_weight * atom_factor(atom)
+        terms.append(adjoint(y @ family.control_left) @ (y @ r_dual))
     fam_ops = OperatorFamily(tuple(terms), tuple(a.weight for a in family.atoms))
     res = is_resolution(fam_ops, tol_res)
 
@@ -169,7 +167,7 @@ def dual_resolution_bounds(
     lf = family.control_left @ f
     vals = np.zeros(samples, dtype=np.complex128)
     for atom in family.atoms:
-        dual_op = atom.local_op @ projection(atom.subspace) @ s_inv
+        dual_op = atom_factor(atom) @ s_inv
         x = dual_op @ rf
         y = dual_op @ lf
         vals += atom.weight * atom.frame_weight**2 * np.sum(np.conj(y) * x, axis=0)
@@ -229,10 +227,8 @@ def resolution_implies_frame(
     t = family.control_left
     terms = []
     for atom in family.atoms:
-        p = projection(atom.subspace)
-        terms.append(
-            atom.frame_weight**2 * (adjoint(t) @ p @ adjoint(atom.local_op) @ atom.local_op @ p @ new_control)
-        )
+        y = atom.frame_weight * atom_factor(atom)
+        terms.append(adjoint(y @ t) @ (y @ new_control))
     fam_ops = OperatorFamily(tuple(terms), tuple(a.weight for a in family.atoms))
     res = is_resolution(fam_ops, tol_res)
     if not res.holds:

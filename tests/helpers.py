@@ -123,6 +123,37 @@ def random_pair(seed, n=5, n_atoms=8):
     return BesselPair(lam, gam)
 
 
+def positive_control(rng, n, lo=0.5):
+    """A dense (non-diagonal) Hermitian positive definite control, eigenvalues >= ``lo``."""
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+    return lo * np.eye(n) + z @ z.conj().T
+
+
+def dense_pair(seed, n=None, n_atoms=None):
+    """Two atom-aligned dense families under distinct non-diagonal repeated controls.
+
+    The first is a :func:`generic_family`; the second keeps its measure
+    weights and codomain dimensions and redraws everything else.
+    """
+    from gfusion import BesselPair, replace_controls
+
+    lam = generic_family(seed, n=n, n_atoms=n_atoms)
+    n = lam.dim
+    rng = np.random.default_rng(20_000 + seed)
+    atoms = []
+    for a in lam.atoms:
+        r = int(rng.integers(1, n + 1))
+        d = a.codomain_dim
+        basis = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+        local = (rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))) / np.sqrt(n)
+        sub = Subspace.from_vectors(basis.T)
+        atoms.append(MeasureAtom(a.id, a.weight, float(rng.uniform(0.4, 1.8)), sub, local))
+    t = positive_control(rng, n)
+    u = positive_control(rng, n)
+    gam = ControlledFamily(n, tuple(atoms), u, u)
+    return BesselPair(replace_controls(lam, t, t), gam)
+
+
 # ------------------------------------------------------------------- oracles
 
 def oracle_projection(atom):
@@ -163,3 +194,29 @@ def oracle_gram(family, f, g):
         y = atom.local_op @ p @ family.control_left @ g
         total += atom.weight * atom.frame_weight**2 * np.sum(x * y.conj())
     return total
+
+
+def oracle_pair_operator(pair):
+    """``sum_i w_i v_i w'_i U P_Gi Gam_i* Lam_i P_Fi T``, one explicit term per atom."""
+    t = pair.lam.control_left
+    u = pair.gam.control_left
+    s = np.zeros((pair.dim, pair.dim), dtype=complex)
+    for a, b in zip(pair.lam.atoms, pair.gam.atoms):
+        pf = oracle_projection(a)
+        pg = oracle_projection(b)
+        term = u @ pg @ b.local_op.conj().T @ a.local_op @ pf @ t
+        s = s + a.weight * a.frame_weight * b.frame_weight * term
+    return s
+
+
+def oracle_multiplier(values, pair):
+    """``sum_i w_i m_i v_i w'_i T P_Fi Lam_i* Gam_i P_Gi U``, one explicit term per atom."""
+    t = pair.lam.control_left
+    u = pair.gam.control_left
+    s = np.zeros((pair.dim, pair.dim), dtype=complex)
+    for m, a, b in zip(values, pair.lam.atoms, pair.gam.atoms):
+        pf = oracle_projection(a)
+        pg = oracle_projection(b)
+        term = t @ pf @ a.local_op.conj().T @ b.local_op @ pg @ u
+        s = s + a.weight * m * a.frame_weight * b.frame_weight * term
+    return s
