@@ -36,6 +36,7 @@ from .family import (
     ControlledFamily,
     FrameReport,
     PlainFamily,
+    _require_same_weights,
     replace_controls,
     require_valid,
     strip_controls,
@@ -59,7 +60,6 @@ __all__ = [
     "CrossDualityReport",
     "EquivalenceReport",
     "analysis",
-    "atom_core",
     "canonical_dual",
     "controlled_atom_term",
     "controlled_plain_equivalence",
@@ -107,12 +107,6 @@ def _gram_terms(family):
     for atom in family.atoms:
         y = atom_factor(atom)
         yield atom.weight * atom.frame_weight**2, y, y
-
-
-def atom_core(atom) -> np.ndarray:
-    """``P A* A P`` for one atom: the uncontrolled positive core."""
-    y = atom_factor(atom)
-    return adjoint(y) @ y
 
 
 def controlled_atom_term(family: ControlledFamily, atom) -> np.ndarray:
@@ -183,7 +177,11 @@ def optimal_bounds(
     the form is not real, in which case the bounds reported are those of the
     Hermitian part and the notes say so.
     """
-    s = frame_operator(family)
+    return _bounds_of(frame_operator(family), tol_frame, tol_herm)
+
+
+def _bounds_of(s: np.ndarray, tol_frame: float = TOL_FRAME, tol_herm: float = TOL_HERM) -> FrameReport:
+    """The :func:`optimal_bounds` verdict read from an already assembled frame operator."""
     summary = spectral_summary(s)
     notes: list[str] = []
     if summary.herm_defect > tol_herm:
@@ -300,15 +298,14 @@ def transform_family(
     family: ControlledFamily,
     v: np.ndarray,
     *,
-    enforce_commutation: bool = True,
     tol_comm: float = TOL_COMM,
 ) -> ControlledFamily:
     """Push a family forward along an invertible operator ``v``.
 
     Subspaces are transported to their images, local operators become
-    ``A_i P_i v*``, and weights and controls are unchanged.  When ``v*``
-    commutes with both controls the new frame operator is ``v S v*``; the
-    commutation defects are checked (and enforced unless asked otherwise).
+    ``A_i P_i v*``, and weights and controls are unchanged.  ``v*`` must
+    commute with both controls (checked), so that the new frame operator is
+    ``v S v*``.
     """
     require_valid(family)
     v = np.asarray(v, dtype=np.complex128)
@@ -317,7 +314,7 @@ def transform_family(
         _commutation_defect(vh, family.control_left),
         _commutation_defect(vh, family.control_right),
     )
-    if enforce_commutation and max(defects) > tol_comm:
+    if max(defects) > tol_comm:
         raise HypothesisError(
             f"adjoint of the transform does not commute with the controls "
             f"(defects {defects[0]:.3e}, {defects[1]:.3e} > {tol_comm:.3e})"
@@ -347,10 +344,18 @@ def canonical_dual(
     The result is again a frame; its frame operator is the inverse of the
     original one, provided that inverse commutes with the controls (checked).
     """
-    report = optimal_bounds(family, tol_frame=tol_frame)
+    return _canonical_dual(family, tol_comm, tol_frame)[0]
+
+
+def _canonical_dual(
+    family: ControlledFamily, tol_comm: float = TOL_COMM, tol_frame: float = TOL_FRAME
+) -> tuple[ControlledFamily, np.ndarray]:
+    """:func:`canonical_dual` and the inverse frame operator it transforms along."""
+    s = frame_operator(family)
+    report = _bounds_of(s, tol_frame=tol_frame)
     if not report.is_frame:
         raise NotAFrameError(f"cannot dualize: verdict is {report.verdict!r}")
-    s_inv = inverse(frame_operator(family))
+    s_inv = inverse(s)
     defects = (
         _commutation_defect(s_inv, family.control_left),
         _commutation_defect(s_inv, family.control_right),
@@ -360,7 +365,7 @@ def canonical_dual(
             f"inverse frame operator does not commute with the controls "
             f"(defects {defects[0]:.3e}, {defects[1]:.3e} > {tol_comm:.3e})"
         )
-    return transform_family(family, s_inv, tol_comm=tol_comm)
+    return transform_family(family, s_inv, tol_comm=tol_comm), s_inv
 
 
 def _plain_commutation_or_raise(family: ControlledFamily, tol_comm: float) -> np.ndarray:
@@ -491,9 +496,7 @@ def cross_duality_check(
     require_valid(fam_b)
     if fam_a.dim != fam_b.dim or len(fam_a.atoms) != len(fam_b.atoms):
         raise PairingError("families have different dimensions or atom counts")
-    for a, b in zip(fam_a.atoms, fam_b.atoms):
-        if abs(a.weight - b.weight) > 1e-12 * max(1.0, a.weight):
-            raise PairingError(f"atoms {a.id!r} and {b.id!r} carry different measure weights")
+    _require_same_weights(fam_a, fam_b)
     bounds_a = optimal_bounds(fam_a)
     bounds_b = optimal_bounds(fam_b)
     if bounds_a.verdict == "not-bessel-diagnostic" or bounds_b.verdict == "not-bessel-diagnostic":

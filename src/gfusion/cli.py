@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import canonical_dual, frame_operator, optimal_bounds
+from .analysis import _bounds_of, _canonical_dual, frame_operator, optimal_bounds
 from .errors import GFusionError
 from .family import (
     ControlledFamily,
@@ -25,16 +25,17 @@ from .family import (
     ball_partition_example,
     require_valid,
 )
-from .linalg import adjoint, inverse, operator_norm
+from .linalg import adjoint, operator_norm
 from .pairs import (
     BesselPair,
+    _pair_operator,
     multiplier,
     multiplier_frame_criterion,
     pair_bounded_below,
     pair_frame_operator,
     pair_sum_positivity,
 )
-from .perturbation import PerturbationParams, perturb_check, perturb_check_simple
+from .perturbation import PerturbationParams, perturb_check
 from .resolution import canonical_resolutions, dual_resolution_bounds, is_resolution
 from .serialization import canonical_json, family_to_document, load_family, save_family
 from .tolerances import DEFAULT_SEED, TOL_COMM, TOL_FRAME, TOL_HERM, TOL_RES
@@ -179,10 +180,10 @@ def cmd_bounds(args) -> tuple[dict, int]:
 
 def cmd_dual(args) -> tuple[dict, int]:
     family, _ = _load_single(args)
-    dual = canonical_dual(family, tol_frame=args.tol_frame)
-    dual_report = optimal_bounds(dual, tol_frame=args.tol_frame, tol_herm=args.tol_herm)
-    s_inv = inverse(frame_operator(family))
-    residual = operator_norm(frame_operator(dual) - s_inv)
+    dual, s_inv = _canonical_dual(family, tol_frame=args.tol_frame)
+    s_dual = frame_operator(dual)
+    dual_report = _bounds_of(s_dual, tol_frame=args.tol_frame, tol_herm=args.tol_herm)
+    residual = operator_norm(s_dual - s_inv)
     dual_doc = family_to_document(dual)
     if args.out is not None:
         save_family(args.out, dual)
@@ -202,7 +203,7 @@ def cmd_pair(args) -> tuple[dict, int]:
     if args.check == "operator":
         s = pair_frame_operator(pair)
         norm = operator_norm(s)
-        swapped = pair_frame_operator(BesselPair(fam_b, fam_a))
+        swapped = _pair_operator(fam_b, fam_a)
         swap_residual = operator_norm(adjoint(s) - swapped)
         norm_ok = norm <= sqrt_bd + 1e-9
         swap_ok = swap_residual <= 1e-10 * max(1.0, norm)
@@ -287,20 +288,35 @@ def cmd_multiplier(args) -> tuple[dict, int]:
     return doc, _EXIT_BY_VERDICT[verdict]
 
 
-def cmd_perturb(args) -> tuple[dict, int]:
-    fam_a, _, fam_b, _ = _load_pair(args)
+def _perturbation_params(args) -> tuple[PerturbationParams, dict]:
+    """The parameters the flags ask for, and the report fields naming the mode.
+
+    ``--simple D`` is the two-fraction check with parameters ``(0, 0, D)``.
+    A value out of range ends in an error naming its flag.
+    """
     if args.simple is not None:
         if any(x is not None for x in (args.lambda1, args.lambda2, args.eps)):
             raise GFusionError("--simple cannot be combined with --lambda1/--lambda2/--eps")
-        rep = perturb_check_simple(fam_a, fam_b, args.simple, seed=args.seed)
+        if not args.simple > 0:  # the check perturb_check_simple makes, here to name the flag
+            raise GFusionError(f"--simple must be positive, got {args.simple}")
+        values, prefix = (0.0, 0.0, args.simple), "--simple: "
         mode = {"mode": "simple", "bound": args.simple}
     else:
         missing = [n for n, x in (("--lambda1", args.lambda1), ("--lambda2", args.lambda2), ("--eps", args.eps)) if x is None]
         if missing:
             raise GFusionError(f"missing {', '.join(missing)} (or use --simple D)")
-        params = PerturbationParams(args.lambda1, args.lambda2, args.eps)
-        rep = perturb_check(fam_a, fam_b, params, seed=args.seed)
+        values, prefix = (args.lambda1, args.lambda2, args.eps), "--"  # errors start with the field, named like its flag
         mode = {"mode": "two-fraction", "lambda1": args.lambda1, "lambda2": args.lambda2, "eps": args.eps}
+    try:
+        return PerturbationParams(*values), mode
+    except ValueError as exc:
+        raise GFusionError(f"{prefix}{exc}") from None
+
+
+def cmd_perturb(args) -> tuple[dict, int]:
+    params, mode = _perturbation_params(args)
+    fam_a, _, fam_b, _ = _load_pair(args)
+    rep = perturb_check(fam_a, fam_b, params, seed=args.seed)
     if not rep.applicable:
         verdict = "inapplicable"
     elif not rep.hypothesis_met:

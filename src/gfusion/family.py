@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, PairingError, ValidationError
 from .linalg import Subspace, as_operator, is_positive, operator_norm
-from .tolerances import TOL_HERM, TOL_ORTH, TOL_SING_REL
+from .tolerances import TOL_HERM, TOL_SAME, TOL_SING_REL
 
 __all__ = [
     "ControlledFamily",
@@ -193,10 +193,11 @@ class FamilyDiagnostics:
 def validate(family: ControlledFamily, tol_herm: float = TOL_HERM) -> FamilyDiagnostics:
     """Check the structural hypotheses on a controlled family.
 
-    Controls must be positive with a bounded inverse; subspace bases must be
-    orthonormal.  The commutation defect ``norm(LR - RL)`` of the control
-    pair is reported for information: some results need it, the definition
-    itself does not.
+    Controls must be positive with a bounded inverse.  Subspace bases need
+    no check here: :class:`Subspace` rejects a non-orthonormal basis when it
+    is built and keeps a read-only copy.  The commutation defect
+    ``norm(LR - RL)`` of the control pair is reported for information: some
+    results need it, the definition itself does not.
     """
     failures: list[str] = []
     for name, c in (("left control", family.control_left), ("right control", family.control_right)):
@@ -205,11 +206,6 @@ def validate(family: ControlledFamily, tol_herm: float = TOL_HERM) -> FamilyDiag
         s = np.linalg.svd(c, compute_uv=False)
         if s[-1] <= TOL_SING_REL * max(s[0], 1.0):
             failures.append(f"{name} is not invertible")
-    for atom in family.atoms:
-        b = atom.subspace.basis
-        defect = operator_norm(np.conj(b).T @ b - np.eye(b.shape[1]))
-        if defect > TOL_ORTH:
-            failures.append(f"atom {atom.id!r}: subspace basis not orthonormal (defect {defect:.3e})")
     lr = family.control_left @ family.control_right
     rl = family.control_right @ family.control_left
     return FamilyDiagnostics(not failures, tuple(failures), operator_norm(lr - rl))
@@ -229,17 +225,42 @@ def integrate(family, per_atom) -> np.ndarray:
     measure.  The reduction order is fixed, so results are reproducible to
     the bit.
     """
-    terms = list(per_atom)
+    terms = [np.asarray(t, dtype=np.complex128) for t in per_atom]
     if len(terms) != len(family.atoms):
         raise DimensionError(f"expected {len(family.atoms)} per-atom values, got {len(terms)}")
-    shape = np.asarray(terms[0]).shape
-    total = np.zeros(shape, dtype=np.complex128)
+    shape = terms[0].shape
     for atom, term in zip(family.atoms, terms):
-        term = np.asarray(term, dtype=np.complex128)
         if term.shape != shape:
             raise DimensionError(f"atom {atom.id!r}: value has shape {term.shape}, expected {shape}")
-        total += atom.weight * term
+    return _weighted_sum([a.weight for a in family.atoms], terms)
+
+
+def _weighted_sum(weights, terms) -> np.ndarray:
+    """``sum_i w_i t_i`` over equally shaped arrays, added one term at a time in the order given."""
+    total = np.zeros(np.shape(terms[0]), dtype=np.complex128)
+    for w, t in zip(weights, terms):
+        total += w * t
     return total
+
+
+def _require_same_weights(first, second, attr: str = "weight") -> None:
+    """Raise :class:`PairingError` at the first aligned atom pair whose ``attr`` differ.
+
+    ``attr`` is ``"weight"`` (measure weights) or ``"frame_weight"``; two
+    values count as the same within ``TOL_SAME`` relative to the first.
+    """
+    kind = "measure" if attr == "weight" else "frame"
+    for a, b in zip(first.atoms, second.atoms):
+        x = getattr(a, attr)
+        if abs(x - getattr(b, attr)) > TOL_SAME * max(1.0, x):
+            raise PairingError(f"atoms {a.id!r} and {b.id!r} carry different {kind} weights")
+
+
+def _require_same_operator(a: np.ndarray, b: np.ndarray, message: str) -> None:
+    """Raise :class:`PairingError` unless ``norm(a - b) <= TOL_SAME * max(1, norm(a))``."""
+    defect = operator_norm(a - b)
+    if defect > TOL_SAME * max(1.0, operator_norm(a)):
+        raise PairingError(f"{message} (defect {defect:.3e})")
 
 
 def total_v2(family) -> float:

@@ -14,7 +14,14 @@ import numpy as np
 
 from .analysis import _commutation_defect, atom_factor, atom_sum, optimal_bounds
 from .errors import PairingError
-from .family import ControlledFamily, FrameReport, MultiplierSymbol, require_valid
+from .family import (
+    ControlledFamily,
+    FrameReport,
+    MultiplierSymbol,
+    _require_same_operator,
+    _require_same_weights,
+    require_valid,
+)
 from .linalg import adjoint, inverse, is_positive, operator_norm, sigma_min
 from .tolerances import TOL_COMM, TOL_FRAME, TOL_HERM, TOL_RES
 
@@ -29,16 +36,6 @@ __all__ = [
     "pair_bounded_below",
     "pair_sum_positivity",
 ]
-
-_EQ_TOL = 1e-12
-
-
-def _equal_controls(fam: ControlledFamily, name: str) -> np.ndarray:
-    defect = operator_norm(fam.control_left - fam.control_right)
-    if defect > _EQ_TOL * max(1.0, operator_norm(fam.control_left)):
-        raise PairingError(f"{name} family must carry one repeated control (defect {defect:.3e})")
-    return fam.control_left
-
 
 @dataclass(frozen=True)
 class BesselPair:
@@ -58,17 +55,16 @@ class BesselPair:
     def __post_init__(self):
         require_valid(self.lam)
         require_valid(self.gam)
-        _equal_controls(self.lam, "first")
-        _equal_controls(self.gam, "second")
+        for name, fam in (("first", self.lam), ("second", self.gam)):
+            _require_same_operator(
+                fam.control_left, fam.control_right, f"{name} family must carry one repeated control"
+            )
         if self.lam.dim != self.gam.dim:
             raise PairingError("families live in different dimensions")
         if len(self.lam.atoms) != len(self.gam.atoms):
             raise PairingError("families have different atom counts")
+        _require_same_weights(self.lam, self.gam)
         for a, b in zip(self.lam.atoms, self.gam.atoms):
-            if abs(a.weight - b.weight) > _EQ_TOL * max(1.0, a.weight):
-                raise PairingError(
-                    f"atoms {a.id!r} and {b.id!r} carry different measure weights"
-                )
             if a.codomain_dim != b.codomain_dim:
                 raise PairingError(
                     f"atoms {a.id!r} and {b.id!r} map into codomains of different dimension"
@@ -84,13 +80,26 @@ class BesselPair:
         return int(self.lam.dim)
 
 
-def _cross_sum(pair: BesselPair) -> np.ndarray:
-    """Uncontrolled pair sum ``sum_i weight_i v_i w_i P_Gi Gam_i* Lam_i P_Fi``."""
+def _cross_sum(first: ControlledFamily, second: ControlledFamily) -> np.ndarray:
+    """Uncontrolled pair sum ``sum_i weight_i v_i w_i P_Gi Gam_i* Lam_i P_Fi``.
+
+    ``Lam, v`` come from ``first`` and ``Gam, w`` from ``second``; the
+    measure weights are those of ``first``.
+    """
     terms = (
         (a.weight * a.frame_weight * b.frame_weight, atom_factor(b), atom_factor(a))
-        for a, b in zip(pair.lam.atoms, pair.gam.atoms)
+        for a, b in zip(first.atoms, second.atoms)
     )
-    return atom_sum(pair.dim, terms)
+    return atom_sum(first.dim, terms)
+
+
+def _pair_operator(first: ControlledFamily, second: ControlledFamily) -> np.ndarray:
+    """The pair operator of ``BesselPair(first, second)``, without building the pair.
+
+    Swapping the arguments assembles the swapped operator independently of
+    the unswapped one, so comparing it with the adjoint is a real check.
+    """
+    return second.control_left @ _cross_sum(first, second) @ first.control_left
 
 
 def pair_frame_operator(pair: BesselPair) -> np.ndarray:
@@ -99,7 +108,7 @@ def pair_frame_operator(pair: BesselPair) -> np.ndarray:
     The operator norm never exceeds the geometric mean of the two Bessel
     bounds, and its adjoint is the pair operator with the roles swapped.
     """
-    return pair.gam.control_left @ _cross_sum(pair) @ pair.lam.control_left
+    return _pair_operator(pair.lam, pair.gam)
 
 
 @dataclass(frozen=True)
@@ -170,7 +179,7 @@ def pair_sum_positivity(
     """
     t = pair.lam.control_left
     u = pair.gam.control_left
-    s_lam_gam = _cross_sum(pair)
+    s_lam_gam = _cross_sum(pair.lam, pair.gam)
     s_sum = s_lam_gam + adjoint(s_lam_gam)
     notes: list[str] = []
     if _commutation_defect(t, u) > tol_comm:
@@ -183,7 +192,7 @@ def pair_sum_positivity(
         notes.append("uncontrolled pair sum is not positive")
     if notes:
         return PairSumReport(False, tuple(notes), None, False, False)
-    controlled_sum = pair_frame_operator(pair) + pair_frame_operator(BesselPair(pair.gam, pair.lam))
+    controlled_sum = u @ s_lam_gam @ t + _pair_operator(pair.gam, pair.lam)
     factored = u @ s_sum @ t
     residual = operator_norm(controlled_sum - factored) / max(1.0, operator_norm(factored))
     return PairSumReport(

@@ -5,8 +5,9 @@ pair, the perturbation hypothesis bounds, atom by atom, the controlled form
 of the difference between the two atom cores: from below by zero and from
 above by a mix of both forms plus an absolute term.  The hypothesis is
 quantified over all vectors, which at desk scale is decided exactly as a
-pair of semidefinite orderings per atom; random sampling is kept as a
-secondary diagnostic.
+pair of semidefinite orderings per atom; random sampling of the lower
+ordering is kept as a secondary diagnostic.  The one-constant check is the
+two-fraction check with both fractions zero, so both share one code path.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 
 from .analysis import controlled_atom_term, optimal_bounds
 from .errors import NotAFrameError, PairingError
-from .family import ControlledFamily, total_v2
-from .linalg import hermitian_part, operator_norm, random_unit_vectors
+from .family import ControlledFamily, _require_same_operator, _require_same_weights, total_v2
+from .linalg import hermitian_part, random_unit_vectors
 from .tolerances import DEFAULT_SEED, TOL_PD
 
 __all__ = [
@@ -51,7 +52,7 @@ class PerturbationParams:
             object.__setattr__(self, name, val)
         eps = float(self.eps)
         if not (math.isfinite(eps) and eps >= 0.0):
-            raise ValueError(f"eps must be nonnegative, got {eps}")
+            raise ValueError(f"eps must be finite and nonnegative, got {eps}")
         object.__setattr__(self, "eps", eps)
         if self.total_v2 is not None and float(self.total_v2) <= 0:
             raise ValueError("total_v2 must be positive")
@@ -80,15 +81,10 @@ def _align(lam: ControlledFamily, gam: ControlledFamily) -> None:
         raise PairingError("families live in different dimensions")
     if len(lam.atoms) != len(gam.atoms):
         raise PairingError("families have different atom counts")
-    for a, b in zip(lam.atoms, gam.atoms):
-        if abs(a.weight - b.weight) > 1e-12 * max(1.0, a.weight):
-            raise PairingError(f"atoms {a.id!r} and {b.id!r} carry different measure weights")
-        if abs(a.frame_weight - b.frame_weight) > 1e-12 * max(1.0, a.frame_weight):
-            raise PairingError(f"atoms {a.id!r} and {b.id!r} carry different frame weights")
-    for name in ("control_left", "control_right"):
-        d = operator_norm(getattr(lam, name) - getattr(gam, name))
-        if d > 1e-12 * max(1.0, operator_norm(getattr(lam, name))):
-            raise PairingError("families must share the control pair")
+    _require_same_weights(lam, gam)
+    _require_same_weights(lam, gam, "frame_weight")
+    for a, b in zip(lam.controls, gam.controls):
+        _require_same_operator(a, b, "families must share the control pair")
 
 
 def _atom_deltas(lam: ControlledFamily, gam: ControlledFamily):
@@ -97,10 +93,6 @@ def _atom_deltas(lam: ControlledFamily, gam: ControlledFamily):
         ref = hermitian_part(controlled_atom_term(lam, a))
         per = hermitian_part(controlled_atom_term(lam, b))
         yield a.id, ref, per, per - ref
-
-
-def _lambda_min(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(m)[0])
 
 
 def perturb_check(
@@ -119,7 +111,8 @@ def perturb_check(
     lambda2 * (perturbed form) + eps * I``.  When the hypothesis holds and
     ``A (1 - lambda1) - eps * total_v2`` is positive, the perturbed family
     is certified as a frame on an explicit interval, which the computed
-    bounds must fall inside.
+    bounds must fall inside.  ``sampled_min_margin`` is the smallest sampled
+    value of the difference form plus ``tol``, over all atoms.
     """
     bounds = optimal_bounds(lam)
     if not bounds.is_frame:
@@ -132,11 +125,16 @@ def perturb_check(
     deltas = []
     for atom_id, ref, per, delta in _atom_deltas(lam, gam):
         deltas.append(delta)
-        if _lambda_min(delta) < -tol:
+        w = np.linalg.eigvalsh(delta)
+        if w[0] < -tol:
             hypothesis_met, failing_atom = False, atom_id
             break
-        dominator = params.lambda1 * ref + params.lambda2 * per + params.eps * np.eye(lam.dim)
-        if _lambda_min(dominator - delta) < -tol:
+        if params.lambda1 == params.lambda2 == 0.0:  # dominator eps * I: lambda_min(eps I - delta) = eps - w[-1]
+            upper_margin = params.eps - w[-1]
+        else:
+            dominator = params.lambda1 * ref + params.lambda2 * per + params.eps * np.eye(lam.dim)
+            upper_margin = np.linalg.eigvalsh(dominator - delta)[0]
+        if upper_margin < -tol:
             hypothesis_met, failing_atom = False, atom_id
             break
 
@@ -149,38 +147,28 @@ def perturb_check(
             margin = min(margin, float(h.min()) + tol)
         sampled_margin = margin
 
-    applicable = bounds.A_opt * (1.0 - params.lambda1) - params.eps * tv2 > 0
-    if not (hypothesis_met and applicable):
-        return PerturbationReport(
-            hypothesis_met=hypothesis_met,
-            failing_atom=failing_atom,
-            applicable=bool(applicable),
-            certified_lower=None,
-            certified_upper=None,
-            computed_lower=None,
-            computed_upper=None,
-            inside=False,
-            sampled_min_margin=sampled_margin,
-            samples=samples,
-            seed=seed,
-            total_v2=float(tv2),
+    applicable = bool(bounds.A_opt * (1.0 - params.lambda1) - params.eps * tv2 > 0)
+    certified = computed = (None, None)
+    inside = False
+    if hypothesis_met and applicable:
+        cert_lower = ((1.0 - params.lambda1) * bounds.A_opt - params.eps * tv2) / (1.0 + params.lambda2)
+        cert_upper = ((1.0 + params.lambda1) * bounds.B_opt + params.eps * tv2) / (1.0 - params.lambda2)
+        certified = (float(cert_lower), float(cert_upper))
+        perturbed = optimal_bounds(gam)
+        computed = (perturbed.A_opt, perturbed.B_opt)
+        inside = bool(
+            perturbed.is_frame
+            and cert_lower <= perturbed.A_opt + slack
+            and perturbed.B_opt <= cert_upper + slack
         )
-    cert_lower = ((1.0 - params.lambda1) * bounds.A_opt - params.eps * tv2) / (1.0 + params.lambda2)
-    cert_upper = ((1.0 + params.lambda1) * bounds.B_opt + params.eps * tv2) / (1.0 - params.lambda2)
-    perturbed = optimal_bounds(gam)
-    inside = bool(
-        perturbed.is_frame
-        and cert_lower <= perturbed.A_opt + slack
-        and perturbed.B_opt <= cert_upper + slack
-    )
     return PerturbationReport(
-        hypothesis_met=True,
-        failing_atom=None,
-        applicable=True,
-        certified_lower=float(cert_lower),
-        certified_upper=float(cert_upper),
-        computed_lower=perturbed.A_opt,
-        computed_upper=perturbed.B_opt,
+        hypothesis_met=hypothesis_met,
+        failing_atom=failing_atom,
+        applicable=applicable,
+        certified_lower=certified[0],
+        certified_upper=certified[1],
+        computed_lower=computed[0],
+        computed_upper=computed[1],
         inside=inside,
         sampled_min_margin=sampled_margin,
         samples=samples,
@@ -198,75 +186,14 @@ def perturb_check_simple(
     tol: float = TOL_PD,
     slack: float = 1e-9,
 ) -> PerturbationReport:
-    """One-constant perturbation check.
+    """One-constant perturbation check: :func:`perturb_check` with parameters ``(0, 0, bound)``.
 
     Per atom the controlled difference must sit between zero and
     ``bound * I`` as quadratic forms.  Applicability requires
     ``bound * total_v2 < A``; the certified interval is then
-    ``[A - bound * total_v2, B + bound * total_v2]``.
+    ``[A - bound * total_v2, B + bound * total_v2]``.  ``bound`` must be
+    positive and finite.
     """
-    if bound <= 0:
+    if not bound > 0:
         raise ValueError(f"the perturbation constant must be positive, got {bound}")
-    bounds = optimal_bounds(lam)
-    if not bounds.is_frame:
-        raise NotAFrameError(f"the reference family must be a frame, verdict {bounds.verdict!r}")
-    _align(lam, gam)
-    tv2 = total_v2(lam)
-
-    hypothesis_met = True
-    failing_atom = None
-    deltas = []
-    for atom_id, _ref, _per, delta in _atom_deltas(lam, gam):
-        deltas.append(delta)
-        w = np.linalg.eigvalsh(delta)
-        if w[0] < -tol or w[-1] > bound + tol:
-            hypothesis_met, failing_atom = False, atom_id
-            break
-
-    sampled_margin = None
-    if hypothesis_met and samples > 0:
-        f = random_unit_vectors(lam.dim, samples, seed)
-        margin = math.inf
-        for delta in deltas:
-            h = np.sum(np.conj(f) * (delta @ f), axis=0).real
-            margin = min(margin, float(h.min()) + tol, float(bound + tol - h.max()))
-        sampled_margin = margin
-
-    applicable = bound * tv2 < bounds.A_opt
-    if not (hypothesis_met and applicable):
-        return PerturbationReport(
-            hypothesis_met=hypothesis_met,
-            failing_atom=failing_atom,
-            applicable=bool(applicable),
-            certified_lower=None,
-            certified_upper=None,
-            computed_lower=None,
-            computed_upper=None,
-            inside=False,
-            sampled_min_margin=sampled_margin,
-            samples=samples,
-            seed=seed,
-            total_v2=float(tv2),
-        )
-    cert_lower = bounds.A_opt - bound * tv2
-    cert_upper = bounds.B_opt + bound * tv2
-    perturbed = optimal_bounds(gam)
-    inside = bool(
-        perturbed.is_frame
-        and cert_lower <= perturbed.A_opt + slack
-        and perturbed.B_opt <= cert_upper + slack
-    )
-    return PerturbationReport(
-        hypothesis_met=True,
-        failing_atom=None,
-        applicable=True,
-        certified_lower=float(cert_lower),
-        certified_upper=float(cert_upper),
-        computed_lower=perturbed.A_opt,
-        computed_upper=perturbed.B_opt,
-        inside=inside,
-        sampled_min_margin=sampled_margin,
-        samples=samples,
-        seed=seed,
-        total_v2=float(tv2),
-    )
+    return perturb_check(lam, gam, PerturbationParams(0.0, 0.0, bound), samples, seed, tol, slack)

@@ -12,9 +12,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import atom_factor, frame_operator, optimal_bounds
-from .errors import DimensionError, HypothesisError, NotAFrameError, PairingError
-from .family import ControlledFamily, replace_controls, require_valid
+from .analysis import _bounds_of, atom_factor, frame_operator, optimal_bounds
+from .errors import DimensionError, HypothesisError, NotAFrameError
+from .family import (
+    ControlledFamily,
+    _require_same_operator,
+    _weighted_sum,
+    replace_controls,
+    require_valid,
+)
 from .linalg import adjoint, inverse, operator_norm, random_unit_vectors
 from .tolerances import DEFAULT_SEED, TOL_COMM, TOL_FRAME, TOL_RES
 
@@ -63,10 +69,7 @@ class OperatorFamily:
         return int(self.terms[0].shape[0])
 
     def weighted_sum(self) -> np.ndarray:
-        total = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for w, t in zip(self.weights, self.terms):
-            total += w * t
-        return total
+        return _weighted_sum(self.weights, self.terms)
 
 
 @dataclass(frozen=True)
@@ -94,10 +97,11 @@ def canonical_resolutions(family: ControlledFamily, tol_frame: float = TOL_FRAME
     right, the left one on the left; both sum to the identity up to the
     conditioning of the frame operator.
     """
-    report = optimal_bounds(family, tol_frame=tol_frame)
+    s = frame_operator(family)
+    report = _bounds_of(s, tol_frame=tol_frame)
     if not report.is_frame:
         raise NotAFrameError(f"resolutions need a frame, verdict is {report.verdict!r}")
-    s_inv = inverse(frame_operator(family))
+    s_inv = inverse(s)
     left_terms = []
     right_terms = []
     for atom in family.atoms:  # S^-1 L* Y* Y R and L* Y* Y R S^-1, with Y = v A P
@@ -143,10 +147,11 @@ def dual_resolution_bounds(
     identity, and the sampled dual form must lie between ``A/B^2`` and
     ``B/A^2`` on the unit sphere.
     """
-    report = optimal_bounds(family)
+    s = frame_operator(family)
+    report = _bounds_of(s)
     if not report.is_frame:
         raise NotAFrameError(f"dual bounds need a frame, verdict is {report.verdict!r}")
-    s_inv = inverse(frame_operator(family))
+    s_inv = inverse(s)
     for name, c in (("left", family.control_left), ("right", family.control_right)):
         defect = operator_norm(s_inv @ c - c @ s_inv) / max(1.0, operator_norm(c))
         if defect > tol_comm:
@@ -216,10 +221,9 @@ def resolution_implies_frame(
     with the computed bounds of the re-controlled family.
     """
     require_valid(family)
-    if operator_norm(family.control_left - family.control_right) > 1e-12 * max(
-        1.0, operator_norm(family.control_left)
-    ):
-        raise PairingError("the family must carry one repeated control")
+    _require_same_operator(
+        family.control_left, family.control_right, "the family must carry one repeated control"
+    )
     new_control = np.asarray(new_control, dtype=np.complex128)
     bessel = optimal_bounds(family)
     if bessel.verdict == "not-bessel-diagnostic":

@@ -13,6 +13,7 @@ TOL_FRAME = 1e-10     # the lower optimal bound must exceed this for a frame ver
 TOL_COMM = 1e-8       # relative commutation defect allowed by checked hypotheses
 TOL_RES = 1e-8        # residual norm allowed for a resolution of the identity
 TOL_DUAL = 1e-8       # identity residual for cross-duality composites
+TOL_SAME = 1e-12      # relative difference below which two weights or operators count as the same
 DROP_TOL = 1e-12      # Gram-Schmidt rank-reveal drop threshold
 
 DEFAULT_SEED = 1729   # fixed default seed for sampling diagnostics

@@ -220,3 +220,35 @@ def oracle_multiplier(values, pair):
         term = t @ pf @ a.local_op.conj().T @ b.local_op @ pg @ u
         s = s + a.weight * m * a.frame_weight * b.frame_weight * term
     return s
+
+
+def oracle_simple_perturbation(lam, gam, bound, tol=1e-10, slack=1e-9):
+    """The one-constant perturbation check, from explicit projections.
+
+    Per atom the difference of the controlled terms (both under ``lam``'s
+    controls) must have its Hermitian part between 0 and ``bound * I``,
+    decided by one ``eigvalsh`` of that part; the first failing atom is
+    reported.  Returns ``(hypothesis_met, failing_atom, applicable,
+    certified interval or None, inside)``.
+    """
+    def bounds(family):
+        s = oracle_frame_operator(family)
+        ev = np.linalg.eigvalsh((s + s.conj().T) / 2)
+        return ev[0], ev[-1]
+
+    met, failing = True, None
+    for a, b in zip(lam.atoms, gam.atoms):
+        d = oracle_atom_term(lam, b) - oracle_atom_term(lam, a)
+        w = np.linalg.eigvalsh((d + d.conj().T) / 2)
+        if w[0] < -tol or w[-1] > bound + tol:
+            met, failing = False, a.id
+            break
+    a_opt, b_opt = bounds(lam)
+    tv2 = sum(a.weight * a.frame_weight**2 for a in lam.atoms)
+    applicable = bound * tv2 < a_opt
+    if not (met and applicable):
+        return met, failing, applicable, None, False
+    lower, upper = a_opt - bound * tv2, b_opt + bound * tv2
+    a_gam, b_gam = bounds(gam)
+    inside = a_gam > 1e-10 and lower <= a_gam + slack and b_gam <= upper + slack
+    return met, failing, applicable, (lower, upper), inside

@@ -5,7 +5,14 @@ import sys
 import numpy as np
 import pytest
 
-from gfusion import MultiplierSymbol, canonical_dual, save_family
+from gfusion import (
+    BesselPair,
+    MultiplierSymbol,
+    ball_partition_example,
+    canonical_dual,
+    frame_operator,
+    save_family,
+)
 from gfusion.cli import main
 from helpers import diag_family, scale_local_ops
 
@@ -207,6 +214,25 @@ def test_perturb_missing_parameters(capsys, frame_file):
     assert "--lambda1" in err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--lambda1", "1.5", "--lambda2", "0", "--eps", "0"], "--lambda1"),
+    (["--lambda1", "0", "--lambda2", "0", "--eps", "nan"], "--eps"),
+    (["--simple", "0"], "--simple"),
+    (["--simple", "-1"], "--simple"),
+    (["--simple", "inf"], "--simple"),
+    (["--simple", "nan"], "--simple"),
+])
+def test_perturb_out_of_range_flag_is_one_error_line(capsys, tmp_path, flags, named):
+    path = tmp_path / "P.json"
+    save_family(path, ball_partition_example(3, 2, 1.5))
+    code, rep, err = run_cli(capsys, "perturb", str(path), str(path), *flags)
+    assert code == 1
+    assert rep is None
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("gfusion: error: ")
+    assert named in lines[0]
+
+
 # ----------------------------------------------------------------- resolution
 
 def test_resolution_canonical_right_builtin(capsys):
@@ -232,6 +258,52 @@ def test_resolution_non_frame_is_error(capsys):
                            "--reading", "literal", "canonical-right")
     assert code == 1
     assert "frame" in err
+
+
+# ------------------------------------------------------------------ call counts
+
+def _counted(fn):
+    """A wrapper of ``fn`` and the list it appends to on every call."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    return wrapper, calls
+
+
+@pytest.mark.parametrize("argv, frame_operators, pairs", [
+    (["bounds", "A"], 1, 0),
+    (["dual", "A", "--out", "OUT"], 2, 0),
+    (["pair", "A", "D", "operator"], 2, 1),
+    (["pair", "A", "D", "bounded-below"], 2, 1),
+    (["pair", "A", "A", "positivity"], 2, 1),
+    (["multiplier", "A", "D", "--m-const", "1.0"], 2, 1),
+    (["perturb", "A", "P", "--lambda1", "0.2", "--lambda2", "0", "--eps", "0"], 2, 0),
+    (["perturb", "A", "A", "--simple", "1e-3"], 2, 0),
+    (["resolution", "A", "canonical-left"], 1, 0),
+    (["resolution", "A", "canonical-right"], 1, 0),
+    (["resolution", "A", "dual-bounds"], 1, 0),
+])
+def test_each_family_operator_is_assembled_once(capsys, monkeypatch, tmp_path, argv, frame_operators, pairs):
+    fam = diag_family(0, equal_controls=True)
+    files = {"A": fam, "D": canonical_dual(fam), "P": scale_local_ops(fam, np.sqrt(1.1))}
+    for role, family in files.items():
+        save_family(tmp_path / f"{role}.json", family)
+    argv = [str(tmp_path / f"{x}.json") if x in files or x == "OUT" else x for x in argv]
+    counted, frame_calls = _counted(frame_operator)
+    for name, module in list(sys.modules.items()):  # every namespace that holds it, as perfbench/spans.py does
+        if name == "gfusion" or name.startswith("gfusion."):
+            for attr, value in list(vars(module).items()):
+                if value is frame_operator:
+                    monkeypatch.setattr(module, attr, counted)
+    counted_init, pair_calls = _counted(BesselPair.__post_init__)
+    monkeypatch.setattr(BesselPair, "__post_init__", counted_init)
+    code, rep, _ = run_cli(capsys, *argv)
+    assert code == 0, rep
+    assert len(frame_calls) == frame_operators
+    assert len(pair_calls) == pairs
 
 
 # -------------------------------------------------------------- reproducibility

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gfusion import (
     ControlledFamily,
@@ -13,7 +15,13 @@ from gfusion import (
     perturb_check_simple,
     total_v2,
 )
-from helpers import diag_family, scale_local_ops
+from helpers import (
+    diag_family,
+    generic_family,
+    oracle_atom_term,
+    oracle_simple_perturbation,
+    scale_local_ops,
+)
 
 
 def test_params_validate_ranges():
@@ -129,3 +137,61 @@ def test_simple_check_inapplicable_boundary():
     threshold = bounds.A_opt / total_v2(fam)
     assert not perturb_check_simple(fam, fam, threshold * 1.001).applicable
     assert perturb_check_simple(fam, fam, threshold * 0.999).applicable
+
+
+_SIMPLE_D_RULES = [("ratio", 0.5), ("ratio", 0.999), ("ratio", 1.001), ("upper", 0.5), ("upper", 2.0)]
+
+
+@settings(max_examples=40, deadline=None)
+@example(seed=1, dense=False, grow=[True] * 6, shrink=0, d_rule=("ratio", 0.5))
+@example(seed=2, dense=True, grow=[False, True] * 3, shrink=None, d_rule=("upper", 0.5))
+@example(seed=3, dense=True, grow=[False] * 6, shrink=None, d_rule=("ratio", 0.999))
+@example(seed=4, dense=False, grow=[False] * 6, shrink=None, d_rule=("ratio", 1.001))
+@example(seed=5, dense=True, grow=[True] * 6, shrink=None, d_rule=("upper", 2.0))
+@given(
+    seed=st.integers(0, 2**20),
+    dense=st.booleans(),
+    grow=st.lists(st.booleans(), min_size=6, max_size=6),
+    shrink=st.none() | st.integers(0, 5),
+    d_rule=st.sampled_from(_SIMPLE_D_RULES),
+)
+def test_simple_check_matches_oracle(seed, dense, grow, shrink, d_rule):
+    """The verdict, failing atom, applicability and interval agree with the oracle.
+
+    Atom ``i`` has its local operator scaled by ``sqrt(1.01)`` where
+    ``grow[i]``, and atom ``shrink`` by ``sqrt(0.99)``, which breaks the lower
+    ordering.  ``ratio`` puts the constant at that multiple of ``A / total_v2``
+    (the applicability threshold); ``upper`` at that multiple of the largest
+    per-atom difference, so 0.5 breaks the upper ordering.
+    """
+    lam = generic_family(seed, n=4, n_atoms=6) if dense else diag_family(seed, n=4, n_atoms=6)
+    factors = [1.01 if g else 1.0 for g in grow]
+    if shrink is not None:
+        factors[shrink] = 0.99
+    gam = ControlledFamily(
+        lam.dim,
+        tuple(
+            MeasureAtom(a.id, a.weight, a.frame_weight, a.subspace, np.sqrt(f) * a.local_op)
+            for a, f in zip(lam.atoms, factors)
+        ),
+        lam.control_left,
+        lam.control_right,
+    )
+    rule, c = d_rule
+    diffs = [oracle_atom_term(lam, b) - oracle_atom_term(lam, a) for a, b in zip(lam.atoms, gam.atoms)]
+    largest = max(np.linalg.eigvalsh((d + d.conj().T) / 2)[-1] for d in diffs)
+    if rule == "ratio" or largest < 1e-6:
+        d = c * optimal_bounds(lam).A_opt / total_v2(lam)
+    else:
+        d = c * largest
+    met, failing, applicable, interval, inside = oracle_simple_perturbation(lam, gam, d)
+    rep = perturb_check_simple(lam, gam, d)
+    assert rep.hypothesis_met == met
+    assert rep.failing_atom == failing
+    assert rep.applicable == applicable
+    if interval is None:
+        assert rep.certified_lower is None and rep.certified_upper is None
+    else:
+        assert rep.certified_lower == pytest.approx(interval[0], rel=1e-9, abs=1e-12)
+        assert rep.certified_upper == pytest.approx(interval[1], rel=1e-9, abs=1e-12)
+    assert rep.inside == inside
