@@ -37,7 +37,7 @@ from .pairs import (
 )
 from .perturbation import PerturbationParams, perturb_check
 from .resolution import canonical_resolutions, dual_resolution_bounds, is_resolution
-from .serialization import canonical_json, family_to_document, load_family, save_family
+from .serialization import _write_document, canonical_json, family_to_document, load_family
 from .tolerances import DEFAULT_SEED, TOL_COMM, TOL_FRAME, TOL_HERM, TOL_RES
 
 BUILTIN_NAMES = ("paper-example",)
@@ -186,7 +186,7 @@ def cmd_dual(args) -> tuple[dict, int]:
     residual = operator_norm(s_dual - s_inv)
     dual_doc = family_to_document(dual)
     if args.out is not None:
-        save_family(args.out, dual)
+        _write_document(args.out, dual_doc)
     doc = _base_report(
         args,
         **_frame_fields(dual_report),

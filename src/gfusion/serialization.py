@@ -12,10 +12,14 @@ A family document is a JSON tree::
       "m": [<number>, ...]          # optional multiplier symbol
     }
 
-Real numbers are written plain; complex entries are two-element arrays
-``[re, im]``.  Emission uses the shortest decimal that round-trips the
-double, so ``parse(emit(family))`` reproduces every stored value bit for
-bit.  Unknown keys are rejected everywhere.
+Complex entries are two-element arrays ``[re, im]``; an entry whose
+imaginary part is zero (of either sign) is written as its plain real part,
+and loads with imaginary part +0.0.  Emission uses the shortest decimal that
+round-trips the double, so ``parse(emit(family))`` reproduces every other
+stored value bit for bit.  Documents (and CLI reports) are written as one
+line of sorted-key JSON, so repeated runs give byte-identical text; any JSON
+layout is accepted on input.  Unknown keys, repeated atom ids and
+non-finite entries are rejected, with the path of the offending value.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ import numpy as np
 
 from .errors import DimensionError, FamilyDocumentError
 from .family import ControlledFamily, MeasureAtom, MultiplierSymbol
-from .linalg import Subspace, operator_norm, orthonormal_columns
-from .tolerances import TOL_ORTH
+from .linalg import Subspace, orthonormal_columns
 
 __all__ = [
     "canonical_json",
@@ -39,43 +42,59 @@ __all__ = [
 ]
 
 
+_NUMBER = {int, float}  # exact types, so a boolean (a subclass of int) is no number
+
+
 def _parse_scalar(value, where: str) -> complex:
+    if type(value) in _NUMBER:
+        return complex(value, 0.0)
+    if type(value) is list and len(value) == 2 and type(value[0]) in _NUMBER and type(value[1]) in _NUMBER:
+        return complex(value[0], value[1])
     if isinstance(value, bool):
         raise FamilyDocumentError(f"{where}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return complex(float(value), 0.0)
-    if isinstance(value, list) and len(value) == 2 and all(
-        isinstance(p, (int, float)) and not isinstance(p, bool) for p in value
-    ):
-        return complex(float(value[0]), float(value[1]))
     raise FamilyDocumentError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
 
-def _parse_vector(value, where: str) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        raise FamilyDocumentError(f"{where}: expected a nonempty array")
-    return np.array([_parse_scalar(x, f"{where}[{i}]") for i, x in enumerate(value)])
+def _parse_matrix(value, where: str, rows: str = "rows", width: int | None = None) -> np.ndarray:
+    """Rows of scalars as one finite complex matrix; every row has length ``width``
+    (default: the length of the first row)."""
+    if type(value) is not list or not value:
+        raise FamilyDocumentError(f"{where}: expected a nonempty array of {rows}")
+    re, im = [], []
+    for r, row in enumerate(value):
+        if type(row) is not list or not row:
+            raise FamilyDocumentError(f"{where}[{r}]: expected a nonempty array")
+        for c, x in enumerate(row):
+            t = type(x)
+            if t is float or t is int:
+                re.append(x)
+                im.append(0.0)
+            elif t is list and len(x) == 2 and type(x[0]) in _NUMBER and type(x[1]) in _NUMBER:
+                re.append(x[0])
+                im.append(x[1])
+            else:
+                _parse_scalar(x, f"{where}[{r}][{c}]")  # raises, naming the entry
+    expected = len(value[0]) if width is None else width
+    if any(len(row) != expected for row in value):
+        raise FamilyDocumentError(
+            f"{where}: {rows} have inconsistent lengths" if width is None
+            else f"{where}: {rows} must have length {width}"
+        )
+    m = np.empty(len(re), dtype=np.complex128)
+    m.real = re
+    m.imag = im
+    if not np.isfinite(m).all():
+        raise FamilyDocumentError(f"{where}: entries must be finite")
+    return m.reshape(len(value), expected)
 
 
-def _parse_matrix(value, where: str) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        raise FamilyDocumentError(f"{where}: expected a nonempty array of rows")
-    rows = [_parse_vector(row, f"{where}[{i}]") for i, row in enumerate(value)]
-    width = rows[0].size
-    if any(r.size != width for r in rows):
-        raise FamilyDocumentError(f"{where}: rows have inconsistent lengths")
-    return np.vstack(rows)
-
-
-def _emit_scalar(z: complex):
-    z = complex(z)
-    if z.imag == 0.0:
-        return float(z.real)
-    return [float(z.real), float(z.imag)]
-
-
-def _emit_matrix(m: np.ndarray):
-    return [[_emit_scalar(z) for z in row] for row in np.asarray(m)]
+def _emit_matrix(m: np.ndarray) -> list:
+    """Rows of shortest round-trip floats; an entry with imaginary part 0.0 is written plain."""
+    m = np.asarray(m)
+    return [
+        [x if y == 0.0 else [x, y] for x, y in zip(row_re, row_im)]
+        for row_re, row_im in zip(m.real.tolist(), m.imag.tolist())
+    ]
 
 
 def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
@@ -85,16 +104,11 @@ def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
 
 
 def _parse_subspace(value, dim: int, where: str) -> Subspace:
-    if not isinstance(value, list) or not value:
-        raise FamilyDocumentError(f"{where}: expected a nonempty array of basis vectors")
-    vectors = [_parse_vector(v, f"{where}[{i}]") for i, v in enumerate(value)]
-    if any(v.size != dim for v in vectors):
-        raise FamilyDocumentError(f"{where}: basis vectors must have length {dim}")
-    cols = np.column_stack(vectors)
-    gram = np.conj(cols).T @ cols
-    if operator_norm(gram - np.eye(cols.shape[1])) <= TOL_ORTH:
+    cols = _parse_matrix(value, where, rows="basis vectors", width=dim).T
+    try:
         return Subspace(cols)  # already orthonormal: keep the stored values
-    return Subspace(orthonormal_columns(cols))
+    except DimensionError:
+        return Subspace(orthonormal_columns(cols))
 
 
 def document_to_family(doc: dict) -> tuple[ControlledFamily, MultiplierSymbol | None]:
@@ -124,6 +138,7 @@ def document_to_family(doc: dict) -> tuple[ControlledFamily, MultiplierSymbol | 
     if not isinstance(atoms_doc, list) or not atoms_doc:
         raise FamilyDocumentError("atoms must be a nonempty array")
     atoms = []
+    first_index: dict[str, int] = {}
     for i, atom_doc in enumerate(atoms_doc):
         where = f"atoms[{i}]"
         if not isinstance(atom_doc, dict):
@@ -134,6 +149,9 @@ def document_to_family(doc: dict) -> tuple[ControlledFamily, MultiplierSymbol | 
                 raise FamilyDocumentError(f"{where}: missing key {key!r}")
         if not isinstance(atom_doc["id"], str):
             raise FamilyDocumentError(f"{where}: id must be a string")
+        first = first_index.setdefault(atom_doc["id"], i)
+        if first != i:
+            raise FamilyDocumentError(f"{where}: duplicate id {atom_doc['id']!r} (first at atoms[{first}])")
         weight = _parse_scalar(atom_doc["weight"], f"{where}.weight")
         v = _parse_scalar(atom_doc["v"], f"{where}.v")
         if weight.imag != 0.0 or v.imag != 0.0:
@@ -178,20 +196,21 @@ def family_to_document(family: ControlledFamily, m: MultiplierSymbol | None = No
                 "id": atom.id,
                 "weight": float(atom.weight),
                 "v": float(atom.frame_weight),
-                "subspace": [[_emit_scalar(z) for z in col] for col in atom.subspace.basis.T],
+                "subspace": _emit_matrix(atom.subspace.basis.T),
                 "lambda": _emit_matrix(atom.local_op),
             }
             for atom in family.atoms
         ],
     }
     if m is not None:
-        doc["m"] = [_emit_scalar(z) for z in m.values]
+        doc["m"] = _emit_matrix([m.values])[0]
     return doc
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Deterministic JSON text: one line of sorted-key JSON, shortest round-trip
+    floats and a trailing newline (without ``indent``, json runs its C encoder)."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
 
 
 def load_family(path) -> tuple[ControlledFamily, MultiplierSymbol | None]:
@@ -204,6 +223,10 @@ def load_family(path) -> tuple[ControlledFamily, MultiplierSymbol | None]:
     return document_to_family(doc)
 
 
+def _write_document(path, doc: dict) -> None:
+    Path(path).write_text(canonical_json(doc))
+
+
 def save_family(path, family: ControlledFamily, m: MultiplierSymbol | None = None) -> None:
     """Write a family document to a file, in canonical form."""
-    Path(path).write_text(canonical_json(family_to_document(family, m)))
+    _write_document(path, family_to_document(family, m))

@@ -10,6 +10,7 @@ from gfusion import (
     MultiplierSymbol,
     ball_partition_example,
     canonical_dual,
+    family_to_document,
     frame_operator,
     save_family,
 )
@@ -70,6 +71,26 @@ def test_bounds_parse_error_names_key(capsys, tmp_path):
     assert code == 1
     assert rep is None
     assert "mystery" in err
+
+
+@pytest.mark.parametrize("path, named", [
+    (("controls", "T"), "controls.T"),
+    (("controls", "U"), "controls.U"),
+    (("atoms", 2, "lambda"), "atoms[2].lambda"),
+    (("atoms", 1, "subspace"), "atoms[1].subspace"),
+])
+def test_non_finite_entry_is_one_error_line_naming_its_matrix(capsys, tmp_path, path, named):
+    doc = family_to_document(ball_partition_example(3, 2, 1.5))
+    node = doc
+    for key in path:
+        node = node[key]
+    node[0][0] = float("nan")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))  # writes the NaN literal that json.loads accepts
+    code, rep, err = run_cli(capsys, "bounds", str(bad))
+    assert code == 1
+    assert rep is None
+    assert err.splitlines() == [f"gfusion: error: {named}: entries must be finite"]
 
 
 def test_bounds_missing_input(capsys):

@@ -2,10 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfusion import (
+    ControlledFamily,
     FamilyDocumentError,
+    MeasureAtom,
     MultiplierSymbol,
+    Subspace,
     ball_partition_example,
     canonical_json,
     document_to_family,
@@ -110,3 +115,153 @@ def test_rejects_bad_scalars():
     doc2["atoms"][0]["lambda"][0][0] = True
     with pytest.raises(FamilyDocumentError):
         document_to_family(doc2)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d["atoms"][0]["lambda"][0].__setitem__(0, "x"),
+     "atoms[0].lambda[0][0]: expected a number or [re, im] pair, got 'x'"),
+    (lambda d: d["atoms"][0]["lambda"][0].__setitem__(0, True),
+     "atoms[0].lambda[0][0]: expected a number, got a boolean"),
+    (lambda d: d["atoms"][1]["lambda"][2].__setitem__(1, [1.0, 2.0, 3.0]),
+     "atoms[1].lambda[2][1]: expected a number or [re, im] pair, got [1.0, 2.0, 3.0]"),
+    (lambda d: d["atoms"][0]["subspace"][0].__setitem__(2, [[1.0, 0.0]]),
+     "atoms[0].subspace[0][2]: expected a number or [re, im] pair, got [[1.0, 0.0]]"),
+    (lambda d: d["atoms"][0]["lambda"][1].__setitem__(0, [False, 1.0]),
+     "atoms[0].lambda[1][0]: expected a number or [re, im] pair, got [False, 1.0]"),
+    (lambda d: d["controls"]["U"][2].__setitem__(2, None),
+     "controls.U[2][2]: expected a number or [re, im] pair, got None"),
+    (lambda d: d["atoms"][0]["lambda"][1].pop(),
+     "atoms[0].lambda: rows have inconsistent lengths"),
+    (lambda d: d["atoms"][0]["subspace"][0].pop(),
+     "atoms[0].subspace: basis vectors must have length 3"),
+    (lambda d: d["atoms"][0]["lambda"].__setitem__(1, []),
+     "atoms[0].lambda[1]: expected a nonempty array"),
+    (lambda d: d["atoms"][0].__setitem__("subspace", []),
+     "atoms[0].subspace: expected a nonempty array of basis vectors"),
+    (lambda d: d["controls"].__setitem__("T", 1.0),
+     "controls.T: expected a nonempty array of rows"),
+    (lambda d: d["atoms"][0].__setitem__("weight", "heavy"),
+     "atoms[0].weight: expected a number or [re, im] pair, got 'heavy'"),
+])
+def test_rejects_bad_scalars_naming_the_entry(mutate, message):
+    doc = json.loads(canonical_json(family_to_document(ball_partition_example(3.0, 2.0, 1.5))))
+    mutate(doc)
+    with pytest.raises(FamilyDocumentError) as info:
+        document_to_family(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("path, message", [
+    (("controls", "T"), "controls.T: entries must be finite"),
+    (("controls", "U"), "controls.U: entries must be finite"),
+    (("atoms", 1, "lambda"), "atoms[1].lambda: entries must be finite"),
+    (("atoms", 2, "subspace"), "atoms[2].subspace: entries must be finite"),
+])
+def test_non_finite_entry_names_its_matrix(path, message):
+    doc = family_to_document(ball_partition_example(3.0, 2.0, 1.5))
+    node = doc
+    for key in path:
+        node = node[key]
+    for bad in (float("nan"), float("inf"), [0.0, float("-inf")]):
+        node[0][0] = bad
+        with pytest.raises(FamilyDocumentError) as info:
+            document_to_family(json.loads(json.dumps(doc)))
+        assert str(info.value) == message
+
+
+def test_duplicate_atom_ids_rejected():
+    doc = family_to_document(diag_family(0, n_atoms=5))
+    doc["atoms"][4]["id"] = doc["atoms"][1]["id"]
+    with pytest.raises(FamilyDocumentError) as info:
+        document_to_family(doc)
+    assert str(info.value) == f"atoms[4]: duplicate id {doc['atoms'][1]['id']!r} (first at atoms[1])"
+
+
+def test_stored_orthonormal_basis_kept_and_checked_once(monkeypatch):
+    fam = generic_family(5)
+    doc = json.loads(canonical_json(family_to_document(fam)))
+    norm, calls = np.linalg.norm, []
+    monkeypatch.setattr(np.linalg, "norm", lambda *args: calls.append(1) or norm(*args))
+    back, _ = document_to_family(doc)
+    assert len(calls) == len(fam.atoms)  # one orthonormality test per basis
+    for a, b in zip(fam.atoms, back.atoms):
+        assert a.subspace.basis.tobytes() == b.subspace.basis.tobytes()
+
+
+def test_documents_are_one_line():
+    text = canonical_json(family_to_document(generic_family(6)))
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert text == canonical_json(json.loads(text))
+
+
+# ------------------------------------------------------- round-trip properties
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308,
+            -1.7976931348623157e308, 1e300, 1.0, -1.0]
+_reals = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+_imags = st.one_of(st.sampled_from([0.0, -0.0]), _reals)
+
+
+def _matrix(rows, cols):
+    def build(parts):
+        m = np.empty((rows, cols), dtype=np.complex128)
+        m.real = np.reshape([p[0] for p in parts], (rows, cols))
+        m.imag = np.reshape([p[1] for p in parts], (rows, cols))
+        return m
+    return st.lists(st.tuples(_reals, _imags), min_size=rows * cols, max_size=rows * cols).map(build)
+
+
+@st.composite
+def _families(draw):
+    n = draw(st.integers(1, 4))
+    atoms = []
+    for i in range(draw(st.integers(1, 3))):
+        idx = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        # Signed or imaginary unit columns: exactly orthonormal, with -0.0 parts.
+        phases = draw(st.lists(st.sampled_from([1, -1, 1j, -1j]), min_size=len(idx), max_size=len(idx)))
+        basis = np.eye(n, dtype=np.complex128)[:, idx] * np.array(phases)
+        atoms.append(MeasureAtom(
+            id=f"a{i}",
+            weight=draw(st.floats(min_value=5e-324, max_value=1.7976931348623157e308)),
+            frame_weight=draw(st.sampled_from([0.0, 5e-324, 1.0, 1e300])),
+            subspace=Subspace(basis),
+            local_op=draw(_matrix(draw(st.integers(1, 3)), n)),
+        ))
+    fam = ControlledFamily(n, tuple(atoms), draw(_matrix(n, n)), draw(_matrix(n, n)))
+    symbol = draw(st.none() | st.lists(st.tuples(_reals, _imags), min_size=len(atoms), max_size=len(atoms)).map(
+        lambda parts: MultiplierSymbol(tuple(complex(re, im) for re, im in parts))))
+    return fam, symbol
+
+
+def _written(a):
+    """``a`` as a document stores it: a zero imaginary part of either sign loads as +0.0."""
+    out = np.array(a, dtype=np.complex128)
+    out.imag[out.imag == 0.0] = 0.0
+    return out
+
+
+def _assert_same_bits(fam, m, back, back_m):
+    def arrays(f):
+        return [f.control_left, f.control_right] + [x for a in f.atoms for x in (a.local_op, a.subspace.basis)]
+    assert back.dim == fam.dim
+    for a, b in zip(arrays(fam), arrays(back), strict=True):
+        assert a.shape == b.shape and _written(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    for a, b in zip(fam.atoms, back.atoms, strict=True):
+        assert (a.id, a.weight, a.frame_weight) == (b.id, b.weight, b.frame_weight)
+    if m is None:
+        assert back_m is None
+    else:
+        assert _written(m.values).tobytes() == np.array(back_m.values).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_families())
+def test_emit_parse_roundtrip_properties(drawn):
+    fam, m = drawn
+    doc = family_to_document(fam, m)
+    text = canonical_json(doc)
+    back, back_m = document_to_family(json.loads(text))
+    _assert_same_bits(fam, m, back, back_m)
+    assert canonical_json(family_to_document(back, back_m)) == text
+    legacy = json.dumps(doc, sort_keys=True, indent=2)  # the layout of earlier releases
+    _assert_same_bits(fam, m, *document_to_family(json.loads(legacy)))
