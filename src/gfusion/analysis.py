@@ -31,6 +31,7 @@ from .errors import (
     NotAFrameError,
     NotPositiveError,
     PairingError,
+    ValidationError,
 )
 from .family import (
     ControlledFamily,
@@ -106,7 +107,11 @@ def atom_sum(dim: int, terms) -> np.ndarray:
 def _gram_terms(family):
     for atom in family.atoms:
         y = atom_factor(atom)
-        yield atom.weight * atom.frame_weight**2, y, y
+        try:
+            c = atom.weight * atom.frame_weight**2
+        except OverflowError:  # v**2 is beyond the double range
+            raise ValidationError([f"atom {atom.id!r}: weight * v**2 is not finite"]) from None
+        yield c, y, y
 
 
 def controlled_atom_term(family: ControlledFamily, atom) -> np.ndarray:
@@ -151,11 +156,27 @@ def gram_form_samples(family: ControlledFamily, vectors: np.ndarray) -> np.ndarr
     return vals
 
 
-def frame_operator(family: ControlledFamily) -> np.ndarray:
-    """Assemble the controlled frame operator ``L* (sum_i w_i v_i^2 Y_i* Y_i) R``."""
-    require_valid(family)
-    core = atom_sum(family.dim, _gram_terms(family))
-    return adjoint(family.control_left) @ core @ family.control_right
+def frame_operator(family: ControlledFamily, *, tol_herm: float = TOL_HERM) -> np.ndarray:
+    """Assemble the controlled frame operator ``L* (sum_i w_i v_i^2 Y_i* Y_i) R``.
+
+    Callers that reach ``S`` validate their family here, under ``tol_herm``, and nowhere else.
+    A non-finite ``S`` raises :class:`ValidationError` naming the first atom whose term is not finite.
+    """
+    require_valid(family, tol_herm)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite S is rejected just below
+        core = atom_sum(family.dim, _gram_terms(family))
+        s = adjoint(family.control_left) @ core @ family.control_right
+        if not np.isfinite(s).all():
+            raise ValidationError([_non_finite_term(family)])
+    return s
+
+
+def _non_finite_term(family: ControlledFamily) -> str:
+    """Name the first atom whose frame-operator term is not finite (scanned only on failure)."""
+    for atom, (c, _, _) in zip(family.atoms, _gram_terms(family)):
+        if not np.isfinite(c * controlled_atom_term(family, atom)).all():
+            return f"atom {atom.id!r}: frame operator term is not finite"
+    return "frame operator is not finite"
 
 
 def plain_frame_operator(family: PlainFamily) -> np.ndarray:
@@ -177,10 +198,10 @@ def optimal_bounds(
     the form is not real, in which case the bounds reported are those of the
     Hermitian part and the notes say so.
     """
-    return _bounds_of(frame_operator(family), tol_frame, tol_herm)
+    return _bounds_of(frame_operator(family, tol_herm=tol_herm), tol_frame, tol_herm)
 
 
-def _bounds_of(s: np.ndarray, tol_frame: float = TOL_FRAME, tol_herm: float = TOL_HERM) -> FrameReport:
+def _bounds_of(s: np.ndarray, tol_frame: float, tol_herm: float) -> FrameReport:
     """The :func:`optimal_bounds` verdict read from an already assembled frame operator."""
     summary = spectral_summary(s)
     notes: list[str] = []
@@ -309,16 +330,13 @@ def transform_family(
     """
     require_valid(family)
     v = np.asarray(v, dtype=np.complex128)
+    _require_commuting(adjoint(v), family, tol_comm, "adjoint of the transform")
+    return _transform(family, v)
+
+
+def _transform(family: ControlledFamily, v: np.ndarray) -> ControlledFamily:
+    """:func:`transform_family` of a family already validated and checked against ``v*``."""
     vh = adjoint(v)
-    defects = (
-        _commutation_defect(vh, family.control_left),
-        _commutation_defect(vh, family.control_right),
-    )
-    if max(defects) > tol_comm:
-        raise HypothesisError(
-            f"adjoint of the transform does not commute with the controls "
-            f"(defects {defects[0]:.3e}, {defects[1]:.3e} > {tol_comm:.3e})"
-        )
     v = _nonsingular_operator(v, family.dim)
     new_atoms = []
     for atom in family.atoms:
@@ -344,28 +362,43 @@ def canonical_dual(
     The result is again a frame; its frame operator is the inverse of the
     original one, provided that inverse commutes with the controls (checked).
     """
-    return _canonical_dual(family, tol_comm, tol_frame)[0]
+    return _canonical_dual(family, tol_comm, tol_frame, TOL_HERM)[0]
 
 
 def _canonical_dual(
-    family: ControlledFamily, tol_comm: float = TOL_COMM, tol_frame: float = TOL_FRAME
+    family: ControlledFamily, tol_comm: float, tol_frame: float, tol_herm: float
 ) -> tuple[ControlledFamily, np.ndarray]:
     """:func:`canonical_dual` and the inverse frame operator it transforms along."""
-    s = frame_operator(family)
-    report = _bounds_of(s, tol_frame=tol_frame)
+    _, s_inv = _frame_inverse(family, "cannot dualize:", tol_frame, tol_herm)
+    _require_commuting(s_inv, family, tol_comm, "inverse frame operator")
+    return _transform(family, s_inv), s_inv
+
+
+def _frame_inverse(
+    family: ControlledFamily, refusal: str, tol_frame: float, tol_herm: float
+) -> tuple[FrameReport, np.ndarray]:
+    """The bounds verdict and the inverse frame operator, from one assembly of ``S``.
+
+    Unless the verdict is ``frame``, raises :class:`NotAFrameError` as ``"<refusal> verdict is '...'"``.
+    """
+    s = frame_operator(family, tol_herm=tol_herm)
+    report = _bounds_of(s, tol_frame, tol_herm)
     if not report.is_frame:
-        raise NotAFrameError(f"cannot dualize: verdict is {report.verdict!r}")
-    s_inv = inverse(s)
+        raise NotAFrameError(f"{refusal} verdict is {report.verdict!r}")
+    return report, inverse(s)
+
+
+def _require_commuting(op: np.ndarray, family: ControlledFamily, tol_comm: float, name: str) -> None:
+    """Raise :class:`HypothesisError` unless ``op`` commutes with both controls within ``tol_comm``."""
     defects = (
-        _commutation_defect(s_inv, family.control_left),
-        _commutation_defect(s_inv, family.control_right),
+        _commutation_defect(op, family.control_left),
+        _commutation_defect(op, family.control_right),
     )
     if max(defects) > tol_comm:
         raise HypothesisError(
-            f"inverse frame operator does not commute with the controls "
+            f"{name} does not commute with the controls "
             f"(defects {defects[0]:.3e}, {defects[1]:.3e} > {tol_comm:.3e})"
         )
-    return transform_family(family, s_inv, tol_comm=tol_comm), s_inv
 
 
 def _plain_commutation_or_raise(family: ControlledFamily, tol_comm: float) -> np.ndarray:
@@ -444,14 +477,13 @@ def controlled_plain_equivalence(
     plain lower bound, and the plain upper bound is below the controlled
     upper bound divided by the smallest eigenvalue.
     """
-    require_valid(family)
+    controlled = optimal_bounds(family)
     s_plain = _plain_commutation_or_raise(family, tol_comm)
     product = family.control_left @ family.control_right
     if not is_positive(product, TOL_HERM):
         raise HypothesisError("the product of the controls is not positive")
     prod_summary = spectral_summary(product)
     plain_summary = spectral_summary(s_plain)
-    controlled = optimal_bounds(family)
     lower_ok = controlled.A_opt / prod_summary.lambda_max <= plain_summary.lambda_min + slack
     upper_ok = plain_summary.lambda_max <= controlled.B_opt / prod_summary.lambda_min + slack
     return EquivalenceReport(
@@ -492,13 +524,11 @@ def cross_duality_check(
     other's upper bound, and those certificates are checked against the
     computed optimal bounds.
     """
-    require_valid(fam_a)
-    require_valid(fam_b)
+    bounds_a = optimal_bounds(fam_a)
+    bounds_b = optimal_bounds(fam_b)
     if fam_a.dim != fam_b.dim or len(fam_a.atoms) != len(fam_b.atoms):
         raise PairingError("families have different dimensions or atom counts")
     _require_same_weights(fam_a, fam_b)
-    bounds_a = optimal_bounds(fam_a)
-    bounds_b = optimal_bounds(fam_b)
     if bounds_a.verdict == "not-bessel-diagnostic" or bounds_b.verdict == "not-bessel-diagnostic":
         raise HypothesisError("both families must have real quadratic forms")
     composite = np.zeros((fam_a.dim, fam_a.dim), dtype=np.complex128)

@@ -19,12 +19,7 @@ import numpy as np
 from . import __version__
 from .analysis import _bounds_of, _canonical_dual, frame_operator, optimal_bounds
 from .errors import GFusionError
-from .family import (
-    ControlledFamily,
-    MultiplierSymbol,
-    ball_partition_example,
-    require_valid,
-)
+from .family import ControlledFamily, MultiplierSymbol, ball_partition_example
 from .linalg import adjoint, operator_norm
 from .pairs import (
     BesselPair,
@@ -132,17 +127,11 @@ def _load_single(args) -> tuple[ControlledFamily, MultiplierSymbol | None]:
         return ball_partition_example(*args.weights, reading=args.reading), None
     if args.file is None:
         raise GFusionError("no input: give a family document or --builtin")
-    family, m = load_family(args.file)
-    require_valid(family, tol_herm=args.tol_herm)
-    return family, m
+    return load_family(args.file)
 
 
 def _load_pair(args) -> tuple[ControlledFamily, MultiplierSymbol | None, ControlledFamily, MultiplierSymbol | None]:
-    fam_a, m_a = load_family(args.file_a)
-    fam_b, m_b = load_family(args.file_b)
-    require_valid(fam_a, tol_herm=args.tol_herm)
-    require_valid(fam_b, tol_herm=args.tol_herm)
-    return fam_a, m_a, fam_b, m_b
+    return (*load_family(args.file_a), *load_family(args.file_b))
 
 
 def _base_report(args, **fields) -> dict:
@@ -180,8 +169,8 @@ def cmd_bounds(args) -> tuple[dict, int]:
 
 def cmd_dual(args) -> tuple[dict, int]:
     family, _ = _load_single(args)
-    dual, s_inv = _canonical_dual(family, tol_frame=args.tol_frame)
-    s_dual = frame_operator(dual)
+    dual, s_inv = _canonical_dual(family, TOL_COMM, args.tol_frame, args.tol_herm)
+    s_dual = frame_operator(dual, tol_herm=args.tol_herm)
     dual_report = _bounds_of(s_dual, tol_frame=args.tol_frame, tol_herm=args.tol_herm)
     residual = operator_norm(s_dual - s_inv)
     dual_doc = family_to_document(dual)
@@ -198,7 +187,7 @@ def cmd_dual(args) -> tuple[dict, int]:
 
 def cmd_pair(args) -> tuple[dict, int]:
     fam_a, _, fam_b, _ = _load_pair(args)
-    pair = BesselPair(fam_a, fam_b)
+    pair = BesselPair(fam_a, fam_b, tol_frame=args.tol_frame, tol_herm=args.tol_herm)
     sqrt_bd = float(np.sqrt(pair.lam_bounds.B_opt * pair.gam_bounds.B_opt))
     if args.check == "operator":
         s = pair_frame_operator(pair)
@@ -232,7 +221,7 @@ def cmd_pair(args) -> tuple[dict, int]:
             certified_lower_ok=rep.certified_lower_ok,
         )
         return doc, _EXIT_BY_VERDICT[verdict]
-    rep = pair_sum_positivity(pair)
+    rep = pair_sum_positivity(pair, tol_herm=args.tol_herm)
     if not rep.hypothesis_met:
         verdict = "hypothesis-not-met"
     elif rep.positive and rep.factorization_ok:
@@ -253,7 +242,7 @@ def cmd_pair(args) -> tuple[dict, int]:
 
 def cmd_multiplier(args) -> tuple[dict, int]:
     fam_a, m_a, fam_b, m_b = _load_pair(args)
-    pair = BesselPair(fam_a, fam_b)
+    pair = BesselPair(fam_a, fam_b, tol_frame=args.tol_frame, tol_herm=args.tol_herm)
     if args.m_const is not None:
         symbol = MultiplierSymbol.constant(args.m_const, len(fam_a.atoms))
     elif m_a is not None:
@@ -316,7 +305,7 @@ def _perturbation_params(args) -> tuple[PerturbationParams, dict]:
 def cmd_perturb(args) -> tuple[dict, int]:
     params, mode = _perturbation_params(args)
     fam_a, _, fam_b, _ = _load_pair(args)
-    rep = perturb_check(fam_a, fam_b, params, seed=args.seed)
+    rep = perturb_check(fam_a, fam_b, params, seed=args.seed, tol_frame=args.tol_frame, tol_herm=args.tol_herm)
     if not rep.applicable:
         verdict = "inapplicable"
     elif not rep.hypothesis_met:
@@ -348,7 +337,7 @@ def cmd_perturb(args) -> tuple[dict, int]:
 def cmd_resolution(args) -> tuple[dict, int]:
     family, _ = _load_single(args)
     if args.variant in ("canonical-left", "canonical-right"):
-        resolutions = canonical_resolutions(family, tol_frame=args.tol_frame)
+        resolutions = canonical_resolutions(family, args.tol_frame, args.tol_herm)
         fam_ops = resolutions.left if args.variant == "canonical-left" else resolutions.right
         rep = is_resolution(fam_ops, tol=args.tol_res)
         verdict = "pass" if rep.holds else "fail"
@@ -359,7 +348,7 @@ def cmd_resolution(args) -> tuple[dict, int]:
             residual_tol=rep.tol,
         )
         return doc, _EXIT_BY_VERDICT[verdict]
-    rep = dual_resolution_bounds(family, seed=args.seed, tol_res=args.tol_res)
+    rep = dual_resolution_bounds(family, seed=args.seed, tol_res=args.tol_res, tol_frame=args.tol_frame, tol_herm=args.tol_herm)
     verdict = "pass" if (rep.resolution_ok and rep.sandwich_ok) else "fail"
     doc = _base_report(
         args,

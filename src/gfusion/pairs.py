@@ -8,7 +8,7 @@ additionally weighs each atom with a bounded symbol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .family import (
     MultiplierSymbol,
     _require_same_operator,
     _require_same_weights,
-    require_valid,
 )
 from .linalg import adjoint, inverse, is_positive, operator_norm, sigma_min
 from .tolerances import TOL_COMM, TOL_FRAME, TOL_HERM, TOL_RES
@@ -42,19 +41,21 @@ class BesselPair:
     """Two atom-aligned Bessel families sharing the same measure.
 
     Alignment requires identical atom weights; frame weights, subspaces and
-    local operators may differ.  Optimal bounds of both members are computed
-    once and kept with the pair; both quadratic forms must be real for the
-    pair to make sense.
+    local operators may differ.  Both members are validated and bounded once,
+    under ``tol_frame`` and ``tol_herm``, and their bounds are kept with the
+    pair; both quadratic forms must be real for the pair to make sense.
     """
 
     lam: ControlledFamily
     gam: ControlledFamily
+    tol_frame: InitVar[float] = TOL_FRAME
+    tol_herm: InitVar[float] = TOL_HERM
     lam_bounds: FrameReport = field(init=False)
     gam_bounds: FrameReport = field(init=False)
 
-    def __post_init__(self):
-        require_valid(self.lam)
-        require_valid(self.gam)
+    def __post_init__(self, tol_frame, tol_herm):
+        object.__setattr__(self, "lam_bounds", optimal_bounds(self.lam, tol_frame, tol_herm))
+        object.__setattr__(self, "gam_bounds", optimal_bounds(self.gam, tol_frame, tol_herm))
         for name, fam in (("first", self.lam), ("second", self.gam)):
             _require_same_operator(
                 fam.control_left, fam.control_right, f"{name} family must carry one repeated control"
@@ -69,11 +70,9 @@ class BesselPair:
                 raise PairingError(
                     f"atoms {a.id!r} and {b.id!r} map into codomains of different dimension"
                 )
-        for name, fam in (("first", self.lam), ("second", self.gam)):
-            report = optimal_bounds(fam)
+        for name, report in (("first", self.lam_bounds), ("second", self.gam_bounds)):
             if report.verdict == "not-bessel-diagnostic":
                 raise PairingError(f"{name} family has a non-real quadratic form")
-            object.__setattr__(self, f"{'lam' if name == 'first' else 'gam'}_bounds", report)
 
     @property
     def dim(self) -> int:
@@ -169,6 +168,7 @@ def pair_sum_positivity(
     pair: BesselPair,
     tol_comm: float = TOL_COMM,
     tol_fact: float = 1e-9,
+    tol_herm: float = TOL_HERM,
 ) -> PairSumReport:
     """Check that the pair operator plus its swap is positive.
 
@@ -188,7 +188,7 @@ def pair_sum_positivity(
         notes.append("first control does not commute with the uncontrolled pair sum")
     if _commutation_defect(u, s_sum) > tol_comm:
         notes.append("second control does not commute with the uncontrolled pair sum")
-    if not is_positive(s_sum, TOL_HERM):
+    if not is_positive(s_sum, tol_herm):
         notes.append("uncontrolled pair sum is not positive")
     if notes:
         return PairSumReport(False, tuple(notes), None, False, False)
@@ -200,7 +200,7 @@ def pair_sum_positivity(
         hypothesis_notes=(),
         factorization_residual=float(residual),
         factorization_ok=bool(residual <= tol_fact),
-        positive=bool(is_positive(controlled_sum, TOL_HERM)),
+        positive=bool(is_positive(controlled_sum, tol_herm)),
     )
 
 

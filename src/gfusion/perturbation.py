@@ -19,9 +19,9 @@ import numpy as np
 
 from .analysis import controlled_atom_term, optimal_bounds
 from .errors import NotAFrameError, PairingError
-from .family import ControlledFamily, _require_same_operator, _require_same_weights, total_v2
+from .family import ControlledFamily, _require_same_operator, _require_same_weights, require_valid, total_v2
 from .linalg import hermitian_part, random_unit_vectors
-from .tolerances import DEFAULT_SEED, TOL_PD
+from .tolerances import DEFAULT_SEED, TOL_FRAME, TOL_HERM, TOL_PD
 
 __all__ = [
     "PerturbationParams",
@@ -103,6 +103,8 @@ def perturb_check(
     seed: int = DEFAULT_SEED,
     tol: float = TOL_PD,
     slack: float = 1e-9,
+    tol_frame: float = TOL_FRAME,
+    tol_herm: float = TOL_HERM,
 ) -> PerturbationReport:
     """Two-fraction perturbation check.
 
@@ -112,12 +114,17 @@ def perturb_check(
     ``A (1 - lambda1) - eps * total_v2`` is positive, the perturbed family
     is certified as a frame on an explicit interval, which the computed
     bounds must fall inside.  ``sampled_min_margin`` is the smallest sampled
-    value of the difference form plus ``tol``, over all atoms.
+    value of the difference form plus ``tol``, over all atoms.  Both bounds
+    verdicts, and the validation they make, use ``tol_frame`` and ``tol_herm``.
     """
-    bounds = optimal_bounds(lam)
+    bounds = optimal_bounds(lam, tol_frame, tol_herm)
     if not bounds.is_frame:
         raise NotAFrameError(f"the reference family must be a frame, verdict {bounds.verdict!r}")
-    _align(lam, gam)
+    try:
+        _align(lam, gam)
+    except PairingError:
+        require_valid(gam, tol_herm)  # an invalid control pair is named as such, not as a mismatch
+        raise
     tv2 = params.total_v2 if params.total_v2 is not None else total_v2(lam)
 
     hypothesis_met = True
@@ -154,7 +161,7 @@ def perturb_check(
         cert_lower = ((1.0 - params.lambda1) * bounds.A_opt - params.eps * tv2) / (1.0 + params.lambda2)
         cert_upper = ((1.0 + params.lambda1) * bounds.B_opt + params.eps * tv2) / (1.0 - params.lambda2)
         certified = (float(cert_lower), float(cert_upper))
-        perturbed = optimal_bounds(gam)
+        perturbed = optimal_bounds(gam, tol_frame, tol_herm)
         computed = (perturbed.A_opt, perturbed.B_opt)
         inside = bool(
             perturbed.is_frame

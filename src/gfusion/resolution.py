@@ -12,17 +12,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import _bounds_of, atom_factor, frame_operator, optimal_bounds
-from .errors import DimensionError, HypothesisError, NotAFrameError
-from .family import (
-    ControlledFamily,
-    _require_same_operator,
-    _weighted_sum,
-    replace_controls,
-    require_valid,
-)
+from .analysis import _frame_inverse, _require_commuting, atom_factor, optimal_bounds
+from .errors import DimensionError, HypothesisError
+from .family import ControlledFamily, _require_same_operator, _weighted_sum, replace_controls
 from .linalg import adjoint, inverse, operator_norm, random_unit_vectors
-from .tolerances import DEFAULT_SEED, TOL_COMM, TOL_FRAME, TOL_RES
+from .tolerances import DEFAULT_SEED, TOL_COMM, TOL_FRAME, TOL_HERM, TOL_RES
 
 __all__ = [
     "CanonicalResolutions",
@@ -90,18 +84,16 @@ class CanonicalResolutions(NamedTuple):
     right: OperatorFamily
 
 
-def canonical_resolutions(family: ControlledFamily, tol_frame: float = TOL_FRAME) -> CanonicalResolutions:
+def canonical_resolutions(
+    family: ControlledFamily, tol_frame: float = TOL_FRAME, tol_herm: float = TOL_HERM
+) -> CanonicalResolutions:
     """The two resolutions a frame induces through its inverse frame operator.
 
     The right one multiplies each weighted atom term by the inverse on the
     right, the left one on the left; both sum to the identity up to the
     conditioning of the frame operator.
     """
-    s = frame_operator(family)
-    report = _bounds_of(s, tol_frame=tol_frame)
-    if not report.is_frame:
-        raise NotAFrameError(f"resolutions need a frame, verdict is {report.verdict!r}")
-    s_inv = inverse(s)
+    _, s_inv = _frame_inverse(family, "resolutions need a frame,", tol_frame, tol_herm)
     left_terms = []
     right_terms = []
     for atom in family.atoms:  # S^-1 L* Y* Y R and L* Y* Y R S^-1, with Y = v A P
@@ -139,26 +131,19 @@ def dual_resolution_bounds(
     tol_comm: float = TOL_COMM,
     tol_res: float = TOL_RES,
     slack: float = 1e-9,
+    tol_frame: float = TOL_FRAME,
+    tol_herm: float = TOL_HERM,
 ) -> DualResolutionReport:
     """Bounds for the form built from the dual atoms ``A_i P_i S^-1``.
 
-    Requires the inverse frame operator to commute with both controls.  The
+    Requires a frame under ``tol_frame`` and ``tol_herm``, and the inverse
+    frame operator to commute with both controls within ``tol_comm``.  The
     family ``weight_i v_i^2 L* P_i A_i* (A_i P_i S^-1) R`` must sum to the
     identity, and the sampled dual form must lie between ``A/B^2`` and
     ``B/A^2`` on the unit sphere.
     """
-    s = frame_operator(family)
-    report = _bounds_of(s)
-    if not report.is_frame:
-        raise NotAFrameError(f"dual bounds need a frame, verdict is {report.verdict!r}")
-    s_inv = inverse(s)
-    for name, c in (("left", family.control_left), ("right", family.control_right)):
-        defect = operator_norm(s_inv @ c - c @ s_inv) / max(1.0, operator_norm(c))
-        if defect > tol_comm:
-            raise HypothesisError(
-                f"inverse frame operator does not commute with the {name} control "
-                f"(defect {defect:.3e})"
-            )
+    report, s_inv = _frame_inverse(family, "dual bounds need a frame,", tol_frame, tol_herm)
+    _require_commuting(s_inv, family, tol_comm, "inverse frame operator")
     r_dual = s_inv @ family.control_right
     terms = []
     for atom in family.atoms:
@@ -220,12 +205,11 @@ def resolution_implies_frame(
     ``1/B`` and ``B norm(T^-1)^2 norm(U)^2``; the certificate is compared
     with the computed bounds of the re-controlled family.
     """
-    require_valid(family)
+    bessel = optimal_bounds(family)
     _require_same_operator(
         family.control_left, family.control_right, "the family must carry one repeated control"
     )
     new_control = np.asarray(new_control, dtype=np.complex128)
-    bessel = optimal_bounds(family)
     if bessel.verdict == "not-bessel-diagnostic":
         raise HypothesisError("the quadratic form of the input family is not real")
     t = family.control_left

@@ -46,10 +46,13 @@ _NUMBER = {int, float}  # exact types, so a boolean (a subclass of int) is no nu
 
 
 def _parse_scalar(value, where: str) -> complex:
-    if type(value) in _NUMBER:
-        return complex(value, 0.0)
-    if type(value) is list and len(value) == 2 and type(value[0]) in _NUMBER and type(value[1]) in _NUMBER:
-        return complex(value[0], value[1])
+    try:
+        if type(value) in _NUMBER:
+            return complex(value, 0.0)
+        if type(value) is list and len(value) == 2 and type(value[0]) in _NUMBER and type(value[1]) in _NUMBER:
+            return complex(value[0], value[1])
+    except OverflowError:  # an integer beyond the double range
+        raise FamilyDocumentError(f"{where}: number is too large for a double") from None
     if isinstance(value, bool):
         raise FamilyDocumentError(f"{where}: expected a number, got a boolean")
     raise FamilyDocumentError(f"{where}: expected a number or [re, im] pair, got {value!r}")
@@ -81,8 +84,14 @@ def _parse_matrix(value, where: str, rows: str = "rows", width: int | None = Non
             else f"{where}: {rows} must have length {width}"
         )
     m = np.empty(len(re), dtype=np.complex128)
-    m.real = re
-    m.imag = im
+    try:
+        m.real = re
+        m.imag = im
+    except OverflowError:  # an integer beyond the double range: name the first one
+        for r, row in enumerate(value):
+            for c, x in enumerate(row):
+                _parse_scalar(x, f"{where}[{r}][{c}]")
+        raise
     if not np.isfinite(m).all():
         raise FamilyDocumentError(f"{where}: entries must be finite")
     return m.reshape(len(value), expected)

@@ -3,6 +3,14 @@
 All spectral work happens in double precision on desk-scale matrices
 (dimension <= 512), so the defaults leave ample headroom above rounding
 noise while still separating genuine zero modes from it.
+
+The CLI's ``--tol-herm``, ``--tol-frame`` and ``--tol-res`` replace
+``TOL_HERM``, ``TOL_FRAME`` and ``TOL_RES`` in every check a command makes:
+the validation of each family (made once, where its frame operator is
+assembled), every bounds verdict, and the positivity and resolution tests.
+The library functions on that path take them as keywords that default to
+the constants here.  ``TOL_COMM`` has no flag; reports print it as
+``tol_comm``.
 """
 
 TOL_HERM = 1e-8       # relative Hermiticity defect allowed before a form counts as non-real

@@ -93,6 +93,31 @@ def test_non_finite_entry_is_one_error_line_naming_its_matrix(capsys, tmp_path, 
     assert err.splitlines() == [f"gfusion: error: {named}: entries must be finite"]
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second line on stderr
+@pytest.mark.parametrize("atom, key, value, named", [
+    pytest.param(0, ("lambda", 0, 0), 10**400, "atoms[0].lambda[0][0]", id="huge-int-lambda"),
+    pytest.param(1, ("v",), 10**400, "atoms[1].v", id="huge-int-v"),
+    pytest.param(1, ("v",), 1e308, "atom 'B2'", id="v-squared-overflows"),
+    pytest.param(0, ("weight",), 1e308, "atom 'B1'", id="weight-v-squared-overflows"),  # with v = 10
+    pytest.param(2, ("lambda", 2, 2), 1e200, "atom 'B3'", id="frame-operator-overflows"),
+])
+def test_out_of_range_number_is_one_error_line_naming_its_entry(capsys, tmp_path, atom, key, value, named):
+    doc = family_to_document(ball_partition_example(3, 2, 1.5))
+    node = doc["atoms"][atom]
+    if key == ("weight",):
+        node["v"] = 10
+    for k in key[:-1]:
+        node = node[k]
+    node[key[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, rep, err = run_cli(capsys, "bounds", str(bad))
+    assert code == 1
+    assert rep is None
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"gfusion: error: {named}")
+
+
 def test_bounds_missing_input(capsys):
     code, _, err = run_cli(capsys, "bounds")
     assert code == 1
