@@ -54,7 +54,7 @@ from .linalg import (
     orthonormal_columns,
     spectral_summary,
 )
-from .tolerances import TOL_COMM, TOL_DUAL, TOL_FRAME, TOL_HERM, TOL_PD
+from .tolerances import TOL_COMM, TOL_DUAL, TOL_FRAME, TOL_HERM, TOL_PD, TOL_SLACK
 
 __all__ = [
     "CoefficientBundle",
@@ -172,9 +172,10 @@ def frame_operator(family: ControlledFamily, *, tol_herm: float = TOL_HERM) -> n
 
 
 def _non_finite_term(family: ControlledFamily) -> str:
-    """Name the first atom whose frame-operator term is not finite (scanned only on failure)."""
-    for atom, (c, _, _) in zip(family.atoms, _gram_terms(family)):
-        if not np.isfinite(c * controlled_atom_term(family, atom)).all():
+    """Name the first atom whose frame-operator term, formed as in ``S``, is not finite (scanned only on failure)."""
+    left, right = adjoint(family.control_left), family.control_right
+    for atom, term in zip(family.atoms, _gram_terms(family)):
+        if not np.isfinite(left @ atom_sum(family.dim, [term]) @ right).all():
             return f"atom {atom.id!r}: frame operator term is not finite"
     return "frame operator is not finite"
 
@@ -244,10 +245,10 @@ class CoefficientBundle:
         )
 
 
-def _atom_root(family: ControlledFamily, atom, tol: float = TOL_PD) -> np.ndarray:
+def _atom_root(family: ControlledFamily, atom) -> np.ndarray:
     term = controlled_atom_term(family, atom)
     try:
-        return operator_sqrt(term, tol)
+        return operator_sqrt(term, TOL_PD)
     except NotPositiveError as exc:
         raise ControlledStructureError(
             f"atom {atom.id!r}: controlled product is not positive ({exc}); "
@@ -315,12 +316,7 @@ def _commutation_defect(a: np.ndarray, b: np.ndarray) -> float:
     return operator_norm(a @ b - b @ a) / scale
 
 
-def transform_family(
-    family: ControlledFamily,
-    v: np.ndarray,
-    *,
-    tol_comm: float = TOL_COMM,
-) -> ControlledFamily:
+def transform_family(family: ControlledFamily, v: np.ndarray) -> ControlledFamily:
     """Push a family forward along an invertible operator ``v``.
 
     Subspaces are transported to their images, local operators become
@@ -330,7 +326,7 @@ def transform_family(
     """
     require_valid(family)
     v = np.asarray(v, dtype=np.complex128)
-    _require_commuting(adjoint(v), family, tol_comm, "adjoint of the transform")
+    _require_commuting(adjoint(v), family, TOL_COMM, "adjoint of the transform")
     return _transform(family, v)
 
 
@@ -352,17 +348,13 @@ def _transform(family: ControlledFamily, v: np.ndarray) -> ControlledFamily:
     return ControlledFamily(family.dim, tuple(new_atoms), family.control_left, family.control_right)
 
 
-def canonical_dual(
-    family: ControlledFamily,
-    tol_comm: float = TOL_COMM,
-    tol_frame: float = TOL_FRAME,
-) -> ControlledFamily:
+def canonical_dual(family: ControlledFamily, tol_frame: float = TOL_FRAME) -> ControlledFamily:
     """Transform a frame along the inverse of its frame operator.
 
     The result is again a frame; its frame operator is the inverse of the
     original one, provided that inverse commutes with the controls (checked).
     """
-    return _canonical_dual(family, tol_comm, tol_frame, TOL_HERM)[0]
+    return _canonical_dual(family, TOL_COMM, tol_frame, TOL_HERM)[0]
 
 
 def _canonical_dual(
@@ -401,18 +393,18 @@ def _require_commuting(op: np.ndarray, family: ControlledFamily, tol_comm: float
         )
 
 
-def _plain_commutation_or_raise(family: ControlledFamily, tol_comm: float) -> np.ndarray:
+def _plain_commutation_or_raise(family: ControlledFamily) -> np.ndarray:
     s_plain = plain_frame_operator(strip_controls(family))
     defect = _commutation_defect(family.control_left, s_plain)
-    if defect > tol_comm:
+    if defect > TOL_COMM:
         raise HypothesisError(
             f"left control does not commute with the plain frame operator "
-            f"(defect {defect:.3e} > {tol_comm:.3e})"
+            f"(defect {defect:.3e} > {TOL_COMM:.3e})"
         )
     return s_plain
 
 
-def recontrol_product(family: ControlledFamily, tol_comm: float = TOL_COMM) -> ControlledFamily:
+def recontrol_product(family: ControlledFamily) -> ControlledFamily:
     """Merge the control pair into (left @ right, identity).
 
     Requires the left control to commute with the plain frame operator;
@@ -420,12 +412,12 @@ def recontrol_product(family: ControlledFamily, tol_comm: float = TOL_COMM) -> C
     unchanged.
     """
     require_valid(family)
-    _plain_commutation_or_raise(family, tol_comm)
+    _plain_commutation_or_raise(family)
     product = family.control_left @ family.control_right
     return replace_controls(family, product, np.eye(family.dim))
 
 
-def recontrol_balanced(family: ControlledFamily, tol_comm: float = TOL_COMM) -> ControlledFamily:
+def recontrol_balanced(family: ControlledFamily) -> ControlledFamily:
     """Split the merged control evenly: both controls become its square root.
 
     On top of the product-form hypothesis this needs the merged control to
@@ -433,15 +425,15 @@ def recontrol_balanced(family: ControlledFamily, tol_comm: float = TOL_COMM) -> 
     positive square root commutes too.
     """
     require_valid(family)
-    s_plain = _plain_commutation_or_raise(family, tol_comm)
+    s_plain = _plain_commutation_or_raise(family)
     product = family.control_left @ family.control_right
     if not is_positive(product, TOL_HERM):
         raise HypothesisError("the product of the controls is not positive")
     defect = _commutation_defect(product, s_plain)
-    if defect > tol_comm:
+    if defect > TOL_COMM:
         raise HypothesisError(
             f"merged control does not commute with the plain frame operator "
-            f"(defect {defect:.3e} > {tol_comm:.3e})"
+            f"(defect {defect:.3e} > {TOL_COMM:.3e})"
         )
     root = operator_sqrt(product, TOL_HERM)
     return replace_controls(family, root, root)
@@ -465,11 +457,7 @@ class EquivalenceReport:
         return self.lower_ok and self.upper_ok
 
 
-def controlled_plain_equivalence(
-    family: ControlledFamily,
-    tol_comm: float = TOL_COMM,
-    slack: float = 1e-9,
-) -> EquivalenceReport:
+def controlled_plain_equivalence(family: ControlledFamily) -> EquivalenceReport:
     """Compare controlled and plain bounds through the merged control.
 
     Verifies the two inequalities that link them: the controlled lower bound
@@ -478,14 +466,14 @@ def controlled_plain_equivalence(
     upper bound divided by the smallest eigenvalue.
     """
     controlled = optimal_bounds(family)
-    s_plain = _plain_commutation_or_raise(family, tol_comm)
+    s_plain = _plain_commutation_or_raise(family)
     product = family.control_left @ family.control_right
     if not is_positive(product, TOL_HERM):
         raise HypothesisError("the product of the controls is not positive")
     prod_summary = spectral_summary(product)
     plain_summary = spectral_summary(s_plain)
-    lower_ok = controlled.A_opt / prod_summary.lambda_max <= plain_summary.lambda_min + slack
-    upper_ok = plain_summary.lambda_max <= controlled.B_opt / prod_summary.lambda_min + slack
+    lower_ok = controlled.A_opt / prod_summary.lambda_max <= plain_summary.lambda_min + TOL_SLACK
+    upper_ok = plain_summary.lambda_max <= controlled.B_opt / prod_summary.lambda_min + TOL_SLACK
     return EquivalenceReport(
         plain_lower=plain_summary.lambda_min,
         plain_upper=plain_summary.lambda_max,
@@ -514,7 +502,6 @@ def cross_duality_check(
     fam_a: ControlledFamily,
     fam_b: ControlledFamily,
     tol: float = TOL_DUAL,
-    slack: float = 1e-9,
 ) -> CrossDualityReport:
     """Test whether two families reconstruct each other.
 
@@ -543,8 +530,8 @@ def cross_duality_check(
     if is_identity:
         cert_a = 1.0 / bounds_b.B_opt
         cert_b = 1.0 / bounds_a.B_opt
-        ok_a = cert_a <= bounds_a.A_opt + slack
-        ok_b = cert_b <= bounds_b.A_opt + slack
+        ok_a = cert_a <= bounds_a.A_opt + TOL_SLACK
+        ok_b = cert_b <= bounds_b.A_opt + TOL_SLACK
     return CrossDualityReport(
         residual=float(residual),
         is_identity=bool(is_identity),

@@ -33,7 +33,7 @@ from .pairs import (
 from .perturbation import PerturbationParams, perturb_check
 from .resolution import canonical_resolutions, dual_resolution_bounds, is_resolution
 from .serialization import _write_document, canonical_json, family_to_document, load_family
-from .tolerances import DEFAULT_SEED, TOL_COMM, TOL_FRAME, TOL_HERM, TOL_RES
+from .tolerances import DEFAULT_SEED, TOL_COMM, TOL_FRAME, TOL_HERM, TOL_RES, TOL_SLACK, TOL_SWAP
 
 BUILTIN_NAMES = ("paper-example",)
 
@@ -194,8 +194,8 @@ def cmd_pair(args) -> tuple[dict, int]:
         norm = operator_norm(s)
         swapped = _pair_operator(fam_b, fam_a)
         swap_residual = operator_norm(adjoint(s) - swapped)
-        norm_ok = norm <= sqrt_bd + 1e-9
-        swap_ok = swap_residual <= 1e-10 * max(1.0, norm)
+        norm_ok = norm <= sqrt_bd + TOL_SLACK
+        swap_ok = swap_residual <= TOL_SWAP * max(1.0, norm)
         verdict = "pass" if (norm_ok and swap_ok) else "fail"
         doc = _base_report(
             args,
@@ -266,7 +266,7 @@ def cmd_multiplier(args) -> tuple[dict, int]:
         verdict=verdict,
         operator_norm=float(norm),
         norm_bound=float(norm_bound),
-        norm_bound_ok=bool(norm <= norm_bound + 1e-9),
+        norm_bound_ok=bool(norm <= norm_bound + TOL_SLACK),
         lambda_star=rep.lambda_star,
         certified_lower_first=rep.certified_lower_lam,
         certified_lower_second=rep.certified_lower_gam,

@@ -206,9 +206,10 @@ def validate(family: ControlledFamily, tol_herm: float = TOL_HERM) -> FamilyDiag
         s = np.linalg.svd(c, compute_uv=False)
         if s[-1] <= TOL_SING_REL * max(s[0], 1.0):
             failures.append(f"{name} is not invertible")
-    lr = family.control_left @ family.control_right
-    rl = family.control_right @ family.control_left
-    return FamilyDiagnostics(not failures, tuple(failures), operator_norm(lr - rl))
+    with np.errstate(over="ignore", invalid="ignore"):  # a product beyond the double range: defect inf
+        commutator = family.control_left @ family.control_right - family.control_right @ family.control_left
+    defect = operator_norm(commutator) if np.isfinite(commutator).all() else math.inf
+    return FamilyDiagnostics(not failures, tuple(failures), defect)
 
 
 def require_valid(family: ControlledFamily, tol_herm: float = TOL_HERM) -> None:

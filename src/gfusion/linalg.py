@@ -100,9 +100,9 @@ def _require_square(a: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(a + a*) / 2."""
-    a = _require_square(a)
-    return (a + np.conj(a).T) / 2.0
+    """(a + a*) / 2, halved first so that no finite ``a`` overflows."""
+    h = _require_square(a) / 2.0
+    return h + np.conj(h).T
 
 
 def herm_defect(a: np.ndarray) -> float:

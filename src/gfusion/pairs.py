@@ -22,7 +22,7 @@ from .family import (
     _require_same_weights,
 )
 from .linalg import adjoint, inverse, is_positive, operator_norm, sigma_min
-from .tolerances import TOL_COMM, TOL_FRAME, TOL_HERM, TOL_RES
+from .tolerances import TOL_COMM, TOL_FACT, TOL_FRAME, TOL_HERM, TOL_RES, TOL_SLACK
 
 __all__ = [
     "BesselPair",
@@ -126,7 +126,6 @@ def pair_bounded_below(
     pair: BesselPair,
     tol: float = TOL_FRAME,
     tol_res: float = TOL_RES,
-    slack: float = 1e-9,
 ) -> PairBoundedBelowReport:
     """Decide whether the pair operator is bounded below.
 
@@ -149,7 +148,7 @@ def pair_bounded_below(
         resolution_residual=float(residual),
         resolution_ok=bool(residual <= tol_res),
         certified_lower=float(certified),
-        certified_lower_ok=bool(certified <= pair.lam_bounds.A_opt + slack),
+        certified_lower_ok=bool(certified <= pair.lam_bounds.A_opt + TOL_SLACK),
     )
 
 
@@ -164,12 +163,7 @@ class PairSumReport:
     positive: bool
 
 
-def pair_sum_positivity(
-    pair: BesselPair,
-    tol_comm: float = TOL_COMM,
-    tol_fact: float = 1e-9,
-    tol_herm: float = TOL_HERM,
-) -> PairSumReport:
+def pair_sum_positivity(pair: BesselPair, tol_herm: float = TOL_HERM) -> PairSumReport:
     """Check that the pair operator plus its swap is positive.
 
     Hypotheses (reported, not raised): the two controls and the uncontrolled
@@ -182,11 +176,11 @@ def pair_sum_positivity(
     s_lam_gam = _cross_sum(pair.lam, pair.gam)
     s_sum = s_lam_gam + adjoint(s_lam_gam)
     notes: list[str] = []
-    if _commutation_defect(t, u) > tol_comm:
+    if _commutation_defect(t, u) > TOL_COMM:
         notes.append("controls do not commute with each other")
-    if _commutation_defect(t, s_sum) > tol_comm:
+    if _commutation_defect(t, s_sum) > TOL_COMM:
         notes.append("first control does not commute with the uncontrolled pair sum")
-    if _commutation_defect(u, s_sum) > tol_comm:
+    if _commutation_defect(u, s_sum) > TOL_COMM:
         notes.append("second control does not commute with the uncontrolled pair sum")
     if not is_positive(s_sum, tol_herm):
         notes.append("uncontrolled pair sum is not positive")
@@ -199,7 +193,7 @@ def pair_sum_positivity(
         hypothesis_met=True,
         hypothesis_notes=(),
         factorization_residual=float(residual),
-        factorization_ok=bool(residual <= tol_fact),
+        factorization_ok=bool(residual <= TOL_FACT),
         positive=bool(is_positive(controlled_sum, tol_herm)),
     )
 
@@ -242,7 +236,6 @@ def multiplier_frame_criterion(
     m: MultiplierSymbol,
     pair: BesselPair,
     claimed_lambda: float | None = None,
-    slack: float = 1e-9,
 ) -> MultiplierReport:
     """Certify both families as frames from the multiplier's deviation from identity.
 
@@ -254,7 +247,7 @@ def multiplier_frame_criterion(
     """
     mat = multiplier(m, pair)
     lambda_star = operator_norm(np.eye(pair.dim) - mat)
-    claimed_ok = None if claimed_lambda is None else bool(lambda_star <= claimed_lambda + slack)
+    claimed_ok = None if claimed_lambda is None else bool(lambda_star <= claimed_lambda + TOL_SLACK)
     if lambda_star >= 1.0 or m.sup_norm == 0.0:
         return MultiplierReport(
             lambda_star=float(lambda_star),
@@ -275,9 +268,9 @@ def multiplier_frame_criterion(
         applicable=True,
         claimed_lambda_ok=claimed_ok,
         certified_lower_gam=float(cert_gam),
-        certified_lower_gam_ok=bool(cert_gam <= pair.gam_bounds.A_opt + slack),
+        certified_lower_gam_ok=bool(cert_gam <= pair.gam_bounds.A_opt + TOL_SLACK),
         certified_lower_lam=float(cert_lam),
-        certified_lower_lam_ok=bool(cert_lam <= pair.lam_bounds.A_opt + slack),
+        certified_lower_lam_ok=bool(cert_lam <= pair.lam_bounds.A_opt + TOL_SLACK),
         lam_is_frame=pair.lam_bounds.is_frame,
         gam_is_frame=pair.gam_bounds.is_frame,
     )

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import controlled_atom_term, optimal_bounds
-from .errors import NotAFrameError, PairingError
+from .errors import NotAFrameError, PairingError, ValidationError
 from .family import ControlledFamily, _require_same_operator, _require_same_weights, require_valid, total_v2
 from .linalg import hermitian_part, random_unit_vectors
-from .tolerances import DEFAULT_SEED, TOL_FRAME, TOL_HERM, TOL_PD
+from .tolerances import DEFAULT_SEED, TOL_FRAME, TOL_HERM, TOL_PD, TOL_SLACK
 
 __all__ = [
     "PerturbationParams",
@@ -33,16 +33,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PerturbationParams:
-    """Relative fractions ``lambda1, lambda2`` in [0, 1) and absolute term ``eps``.
-
-    ``total_v2`` is the integral of the squared frame weight; leave it None
-    to have it computed from the reference family.
-    """
+    """Relative fractions ``lambda1, lambda2`` in [0, 1) and absolute term ``eps``."""
 
     lambda1: float
     lambda2: float
     eps: float
-    total_v2: float | None = None
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2"):
@@ -54,8 +49,6 @@ class PerturbationParams:
         if not (math.isfinite(eps) and eps >= 0.0):
             raise ValueError(f"eps must be finite and nonnegative, got {eps}")
         object.__setattr__(self, "eps", eps)
-        if self.total_v2 is not None and float(self.total_v2) <= 0:
-            raise ValueError("total_v2 must be positive")
 
 
 @dataclass(frozen=True)
@@ -88,11 +81,19 @@ def _align(lam: ControlledFamily, gam: ControlledFamily) -> None:
 
 
 def _atom_deltas(lam: ControlledFamily, gam: ControlledFamily):
-    """Per atom: Hermitian parts of the controlled reference, perturbed, and difference terms."""
+    """Per atom: Hermitian parts of the controlled reference, perturbed, and difference terms.
+
+    A term that is not finite raises :class:`ValidationError` naming its atom.
+    """
     for a, b in zip(lam.atoms, gam.atoms):  # both families carry the control pair of lam
-        ref = hermitian_part(controlled_atom_term(lam, a))
-        per = hermitian_part(controlled_atom_term(lam, b))
-        yield a.id, ref, per, per - ref
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite term is rejected just below
+            ref = hermitian_part(controlled_atom_term(lam, a))
+            per = hermitian_part(controlled_atom_term(lam, b))
+            delta = per - ref
+        if not np.isfinite(delta).all():  # also when ref or per is not finite
+            atom = a if not np.isfinite(ref).all() else b
+            raise ValidationError([f"atom {atom.id!r}: frame operator term is not finite"])
+        yield a.id, ref, per, delta
 
 
 def perturb_check(
@@ -101,8 +102,6 @@ def perturb_check(
     params: PerturbationParams,
     samples: int = 1000,
     seed: int = DEFAULT_SEED,
-    tol: float = TOL_PD,
-    slack: float = 1e-9,
     tol_frame: float = TOL_FRAME,
     tol_herm: float = TOL_HERM,
 ) -> PerturbationReport:
@@ -114,7 +113,7 @@ def perturb_check(
     ``A (1 - lambda1) - eps * total_v2`` is positive, the perturbed family
     is certified as a frame on an explicit interval, which the computed
     bounds must fall inside.  ``sampled_min_margin`` is the smallest sampled
-    value of the difference form plus ``tol``, over all atoms.  Both bounds
+    value of the difference form plus ``TOL_PD``, over all atoms.  Both bounds
     verdicts, and the validation they make, use ``tol_frame`` and ``tol_herm``.
     """
     bounds = optimal_bounds(lam, tol_frame, tol_herm)
@@ -125,7 +124,7 @@ def perturb_check(
     except PairingError:
         require_valid(gam, tol_herm)  # an invalid control pair is named as such, not as a mismatch
         raise
-    tv2 = params.total_v2 if params.total_v2 is not None else total_v2(lam)
+    tv2 = total_v2(lam)
 
     hypothesis_met = True
     failing_atom = None
@@ -133,7 +132,7 @@ def perturb_check(
     for atom_id, ref, per, delta in _atom_deltas(lam, gam):
         deltas.append(delta)
         w = np.linalg.eigvalsh(delta)
-        if w[0] < -tol:
+        if w[0] < -TOL_PD:
             hypothesis_met, failing_atom = False, atom_id
             break
         if params.lambda1 == params.lambda2 == 0.0:  # dominator eps * I: lambda_min(eps I - delta) = eps - w[-1]
@@ -141,7 +140,7 @@ def perturb_check(
         else:
             dominator = params.lambda1 * ref + params.lambda2 * per + params.eps * np.eye(lam.dim)
             upper_margin = np.linalg.eigvalsh(dominator - delta)[0]
-        if upper_margin < -tol:
+        if upper_margin < -TOL_PD:
             hypothesis_met, failing_atom = False, atom_id
             break
 
@@ -151,7 +150,7 @@ def perturb_check(
         margin = math.inf
         for delta in deltas:
             h = np.sum(np.conj(f) * (delta @ f), axis=0).real
-            margin = min(margin, float(h.min()) + tol)
+            margin = min(margin, float(h.min()) + TOL_PD)
         sampled_margin = margin
 
     applicable = bool(bounds.A_opt * (1.0 - params.lambda1) - params.eps * tv2 > 0)
@@ -165,8 +164,8 @@ def perturb_check(
         computed = (perturbed.A_opt, perturbed.B_opt)
         inside = bool(
             perturbed.is_frame
-            and cert_lower <= perturbed.A_opt + slack
-            and perturbed.B_opt <= cert_upper + slack
+            and cert_lower <= perturbed.A_opt + TOL_SLACK
+            and perturbed.B_opt <= cert_upper + TOL_SLACK
         )
     return PerturbationReport(
         hypothesis_met=hypothesis_met,
@@ -190,8 +189,6 @@ def perturb_check_simple(
     bound: float,
     samples: int = 1000,
     seed: int = DEFAULT_SEED,
-    tol: float = TOL_PD,
-    slack: float = 1e-9,
 ) -> PerturbationReport:
     """One-constant perturbation check: :func:`perturb_check` with parameters ``(0, 0, bound)``.
 
@@ -203,4 +200,4 @@ def perturb_check_simple(
     """
     if not bound > 0:
         raise ValueError(f"the perturbation constant must be positive, got {bound}")
-    return perturb_check(lam, gam, PerturbationParams(0.0, 0.0, bound), samples, seed, tol, slack)
+    return perturb_check(lam, gam, PerturbationParams(0.0, 0.0, bound), samples, seed)

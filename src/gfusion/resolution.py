@@ -16,7 +16,7 @@ from .analysis import _frame_inverse, _require_commuting, atom_factor, optimal_b
 from .errors import DimensionError, HypothesisError
 from .family import ControlledFamily, _require_same_operator, _weighted_sum, replace_controls
 from .linalg import adjoint, inverse, operator_norm, random_unit_vectors
-from .tolerances import DEFAULT_SEED, TOL_COMM, TOL_FRAME, TOL_HERM, TOL_RES
+from .tolerances import DEFAULT_SEED, TOL_COMM, TOL_FRAME, TOL_HERM, TOL_RES, TOL_SLACK
 
 __all__ = [
     "CanonicalResolutions",
@@ -128,22 +128,20 @@ def dual_resolution_bounds(
     family: ControlledFamily,
     samples: int = 1000,
     seed: int = DEFAULT_SEED,
-    tol_comm: float = TOL_COMM,
     tol_res: float = TOL_RES,
-    slack: float = 1e-9,
     tol_frame: float = TOL_FRAME,
     tol_herm: float = TOL_HERM,
 ) -> DualResolutionReport:
     """Bounds for the form built from the dual atoms ``A_i P_i S^-1``.
 
     Requires a frame under ``tol_frame`` and ``tol_herm``, and the inverse
-    frame operator to commute with both controls within ``tol_comm``.  The
+    frame operator to commute with both controls within ``TOL_COMM``.  The
     family ``weight_i v_i^2 L* P_i A_i* (A_i P_i S^-1) R`` must sum to the
     identity, and the sampled dual form must lie between ``A/B^2`` and
     ``B/A^2`` on the unit sphere.
     """
     report, s_inv = _frame_inverse(family, "dual bounds need a frame,", tol_frame, tol_herm)
-    _require_commuting(s_inv, family, tol_comm, "inverse frame operator")
+    _require_commuting(s_inv, family, TOL_COMM, "inverse frame operator")
     r_dual = s_inv @ family.control_right
     terms = []
     for atom in family.atoms:
@@ -164,7 +162,7 @@ def dual_resolution_bounds(
     lower = report.A_opt / report.B_opt**2
     upper = report.B_opt / report.A_opt**2
     re_vals = vals.real
-    sandwich_ok = bool(re_vals.min() >= lower - slack and re_vals.max() <= upper + slack)
+    sandwich_ok = bool(re_vals.min() >= lower - TOL_SLACK and re_vals.max() <= upper + TOL_SLACK)
     return DualResolutionReport(
         resolution_ok=res.holds,
         resolution_residual=res.residual,
@@ -195,7 +193,6 @@ def resolution_implies_frame(
     family: ControlledFamily,
     new_control: np.ndarray,
     tol_res: float = TOL_RES,
-    slack: float = 1e-9,
 ) -> ResolutionFrameReport:
     """Upgrade a Bessel family to a frame under the new control.
 
@@ -236,7 +233,7 @@ def resolution_implies_frame(
     cert_lower = 1.0 / bessel.B_opt
     cert_upper = bessel.B_opt * t_inv_norm**2 * u_norm**2
     ok = bool(
-        cert_lower <= computed.A_opt + slack and computed.B_opt <= cert_upper + slack
+        cert_lower <= computed.A_opt + TOL_SLACK and computed.B_opt <= cert_upper + TOL_SLACK
     )
     return ResolutionFrameReport(
         hypothesis_met=True,

@@ -279,6 +279,24 @@ def test_perturb_out_of_range_flag_is_one_error_line(capsys, tmp_path, flags, na
     assert named in lines[0]
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second line on stderr
+@pytest.mark.parametrize("flags", [
+    ["--simple", "0.1"],
+    ["--lambda1", "0.1", "--lambda2", "0", "--eps", "0"],
+])
+def test_perturb_non_finite_perturbed_term_is_one_error_line(capsys, tmp_path, flags):
+    reference = tmp_path / "P.json"
+    save_family(reference, ball_partition_example(3, 2, 1.5))
+    doc = family_to_document(ball_partition_example(3, 2, 1.5))
+    doc["atoms"][0]["lambda"][0][0] = 1e200  # its term overflows; the reference's frame operator is finite
+    perturbed = tmp_path / "B.json"
+    perturbed.write_text(json.dumps(doc))
+    code, rep, err = run_cli(capsys, "perturb", str(reference), str(perturbed), *flags)
+    assert code == 1
+    assert rep is None
+    assert err.splitlines() == ["gfusion: error: atom 'B1': frame operator term is not finite"]
+
+
 # ----------------------------------------------------------------- resolution
 
 def test_resolution_canonical_right_builtin(capsys):

@@ -9,6 +9,7 @@ from gfusion import (
     NotAFrameError,
     PairingError,
     PerturbationParams,
+    ValidationError,
     ball_partition_example,
     optimal_bounds,
     perturb_check,
@@ -31,6 +32,18 @@ def test_params_validate_ranges():
         PerturbationParams(0.0, -0.1, 0.0)
     with pytest.raises(ValueError):
         PerturbationParams(0.0, 0.0, -1.0)
+
+
+def test_non_finite_perturbed_term_names_its_atom():
+    fam = ball_partition_example(3, 2, 1.5)
+    op = np.array(fam.atoms[0].local_op)
+    op[0, 0] = 1e200
+    atoms = (MeasureAtom(fam.atoms[0].id, 3.0, 1.0, fam.atoms[0].subspace, op),) + fam.atoms[1:]
+    gam = ControlledFamily(fam.dim, atoms, fam.control_left, fam.control_right)
+    for check in (lambda: perturb_check_simple(fam, gam, 0.1),
+                  lambda: perturb_check(fam, gam, PerturbationParams(0.1, 0.0, 0.0))):
+        with pytest.raises(ValidationError, match="atom 'B1': frame operator term is not finite"):
+            check()
 
 
 def test_zero_perturbation_certifies_exact_bounds():
