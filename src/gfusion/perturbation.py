@@ -8,6 +8,21 @@ quantified over all vectors, which at desk scale is decided exactly as a
 pair of semidefinite orderings per atom; random sampling of the lower
 ordering is kept as a secondary diagnostic.  The one-constant check is the
 two-fraction check with both fractions zero, so both share one code path.
+
+Each per-atom term is the Hermitian part of ``(Y L)* (Y R)``, with ``Y``
+the atom's ``d x n`` factor and ``L, R`` the reference controls, so the
+reference, perturbed and difference terms of an atom pair all have their
+range in the span of the ``m = 2 (d_a + d_b)`` columns of ``(Y_a L)*``,
+``(Y_a R)*``, ``(Y_b L)*`` and ``(Y_b R)*``.  When ``2 m <= n`` the terms are
+formed on an orthonormal basis ``Q`` of ``m`` columns containing that span
+(the Householder QR factor of the stack), as ``m x m`` blocks.  Each full
+term has the spectrum of its block plus ``n - m >= 1`` zeros
+(Courant-Fischer), and the dominator's ``eps * I`` adds ``eps`` to every
+eigenvalue; a zero clears the ``-TOL_PD`` slack and ``eps >= 0``, so the
+blocks' extreme eigenvalues decide both orderings exactly, on ``m x m``
+eigenproblems.  Otherwise the terms are the ``n x n`` matrices themselves.
+A term (``n x n`` or block) that is not finite raises
+:class:`~gfusion.errors.ValidationError` naming the atom whose term it is.
 """
 
 from __future__ import annotations
@@ -17,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import controlled_atom_term, optimal_bounds
+from .analysis import atom_factor, optimal_bounds
 from .errors import NotAFrameError, PairingError, ValidationError
 from .family import ControlledFamily, _require_same_operator, _require_same_weights, require_valid, total_v2
-from .linalg import hermitian_part, random_unit_vectors
+from .linalg import _factor_range_basis, adjoint, hermitian_part, random_unit_vectors
 from .tolerances import DEFAULT_SEED, TOL_FRAME, TOL_HERM, TOL_PD, TOL_SLACK
 
 __all__ = [
@@ -80,20 +95,29 @@ def _align(lam: ControlledFamily, gam: ControlledFamily) -> None:
         _require_same_operator(a, b, "families must share the control pair")
 
 
-def _atom_deltas(lam: ControlledFamily, gam: ControlledFamily):
-    """Per atom: Hermitian parts of the controlled reference, perturbed, and difference terms.
+def _atom_terms(lam: ControlledFamily, gam: ControlledFamily):
+    """Per atom: ``Q`` and the Hermitian reference, perturbed and difference terms on span ``Q``.
 
-    A term that is not finite raises :class:`ValidationError` naming its atom.
+    ``Q`` is ``None`` when the terms are the ``n x n`` matrices themselves
+    (``2 m > n``, or a factor is not finite).  A term that is not finite
+    raises :class:`ValidationError` naming its atom.
     """
-    for a, b in zip(lam.atoms, gam.atoms):  # both families carry the control pair of lam
+    left, right = lam.control_left, lam.control_right  # both families carry the control pair of lam
+    for a, b in zip(lam.atoms, gam.atoms):
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite term is rejected just below
-            ref = hermitian_part(controlled_atom_term(lam, a))
-            per = hermitian_part(controlled_atom_term(lam, b))
+            ya, yb = atom_factor(a), atom_factor(b)
+            factors = (ya @ left, ya @ right, yb @ left, yb @ right)
+            q = _factor_range_basis(factors)  # None keeps the n x n terms, also for a non-finite factor
+            if q is not None:
+                factors = tuple(x @ q for x in factors)
+            xal, xar, xbl, xbr = factors
+            ref = hermitian_part(adjoint(xal) @ xar)
+            per = hermitian_part(adjoint(xbl) @ xbr)
             delta = per - ref
         if not np.isfinite(delta).all():  # also when ref or per is not finite
             atom = a if not np.isfinite(ref).all() else b
             raise ValidationError([f"atom {atom.id!r}: frame operator term is not finite"])
-        yield a.id, ref, per, delta
+        yield a.id, q, ref, per, delta
 
 
 def perturb_check(
@@ -129,17 +153,18 @@ def perturb_check(
     hypothesis_met = True
     failing_atom = None
     deltas = []
-    for atom_id, ref, per, delta in _atom_deltas(lam, gam):
-        deltas.append(delta)
+    for atom_id, q, ref, per, delta in _atom_terms(lam, gam):
+        deltas.append((q, delta))
+        # On span Q the n - m zero eigenvalues outside it are left out: 0 clears
+        # -TOL_PD, and eps >= 0, so the block's extreme eigenvalues decide each test.
         w = np.linalg.eigvalsh(delta)
         if w[0] < -TOL_PD:
             hypothesis_met, failing_atom = False, atom_id
             break
         if params.lambda1 == params.lambda2 == 0.0:  # dominator eps * I: lambda_min(eps I - delta) = eps - w[-1]
             upper_margin = params.eps - w[-1]
-        else:
-            dominator = params.lambda1 * ref + params.lambda2 * per + params.eps * np.eye(lam.dim)
-            upper_margin = np.linalg.eigvalsh(dominator - delta)[0]
+        else:  # eps * I shifts every eigenvalue
+            upper_margin = params.eps + np.linalg.eigvalsh(params.lambda1 * ref + params.lambda2 * per - delta)[0]
         if upper_margin < -TOL_PD:
             hypothesis_met, failing_atom = False, atom_id
             break
@@ -148,8 +173,9 @@ def perturb_check(
     if hypothesis_met and samples > 0:
         f = random_unit_vectors(lam.dim, samples, seed)
         margin = math.inf
-        for delta in deltas:
-            h = np.sum(np.conj(f) * (delta @ f), axis=0).real
+        for q, delta in deltas:
+            g = f if q is None else adjoint(q) @ f  # f* (Q delta Q*) f = g* delta g
+            h = np.sum(np.conj(g) * (delta @ g), axis=0).real
             margin = min(margin, float(h.min()) + TOL_PD)
         sampled_margin = margin
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionError, FamilyDocumentError
 from .family import ControlledFamily, MeasureAtom, MultiplierSymbol
-from .linalg import Subspace, orthonormal_columns
+from .linalg import Subspace, orthonormal_columns, overflowing_column
 
 __all__ = [
     "canonical_json",
@@ -114,9 +114,8 @@ def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
 
 def _parse_subspace(value, dim: int, where: str) -> Subspace:
     cols = _parse_matrix(value, where, rows="basis vectors", width=dim).T
-    with np.errstate(over="ignore"):  # orthonormalizing squares each norm
-        if not np.isfinite((np.abs(cols) ** 2).sum(axis=0)).all():
-            raise FamilyDocumentError(f"{where}: a squared vector norm is too large for a double")
+    if overflowing_column(cols) is not None:
+        raise FamilyDocumentError(f"{where}: a squared vector norm is too large for a double")
     try:
         return Subspace(cols)  # already orthonormal: keep the stored values
     except DimensionError:

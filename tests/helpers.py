@@ -79,6 +79,46 @@ def generic_family(seed, n=None, n_atoms=None):
     raise RuntimeError(f"could not draw a frame instance for seed {seed}")
 
 
+def lowrank_family(seed, n, control="scalar", max_rank=3, atoms=None):
+    """``atoms`` (default ``n``) dense atoms of subspace rank and codomain at most ``max_rank``.
+
+    Both controls are ``control``: ``"scalar"`` (a multiple of the
+    identity) or ``"dense"`` (a :func:`positive_control`).  Redraws until the
+    instance is a frame.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        drawn = []
+        for i in range(atoms or n):
+            r, d = (int(k) for k in rng.integers(1, max_rank + 1, 2))
+            basis = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+            local = (rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))) / np.sqrt(n)
+            weight, frame_weight = rng.uniform(0.5, 2.5), rng.uniform(0.4, 1.8)
+            drawn.append(MeasureAtom(f"a{i}", float(weight), float(frame_weight),
+                                     Subspace.from_vectors(basis.T), local))
+        t = rng.uniform(0.5, 2.0) * np.eye(n) if control == "scalar" else positive_control(rng, n)
+        fam = ControlledFamily(n, tuple(drawn), t, t)
+        if optimal_bounds(fam).A_opt > 1e-6:
+            return fam
+    raise RuntimeError(f"could not draw a frame instance for seed {seed}")
+
+
+def perturbed_family(family, factors, extra_rows=()):
+    """``family`` with local operator ``i`` scaled by ``sqrt(factors[i])``.
+
+    Atom ``i`` in ``extra_rows`` also gets one more codomain row, a fixed
+    small multiple of its first row rotated onto the next coordinate, which
+    adds a positive term to its form.
+    """
+    atoms = []
+    for i, (a, f) in enumerate(zip(family.atoms, factors)):
+        local = np.sqrt(f) * a.local_op
+        if i in extra_rows:
+            local = np.vstack([local, 0.1 * np.roll(a.local_op[:1], 1, axis=1)])
+        atoms.append(MeasureAtom(a.id, a.weight, a.frame_weight, a.subspace, local))
+    return ControlledFamily(family.dim, tuple(atoms), family.control_left, family.control_right)
+
+
 def scale_local_ops(family, factor):
     """Same family with every local operator multiplied by ``factor``."""
     atoms = tuple(
@@ -222,33 +262,45 @@ def oracle_multiplier(values, pair):
     return s
 
 
-def oracle_simple_perturbation(lam, gam, bound, tol=1e-10, slack=1e-9):
-    """The one-constant perturbation check, from explicit projections.
+def oracle_perturbation(lam, gam, lambda1, lambda2, eps, tol=1e-10, slack=1e-9):
+    """The two-fraction perturbation check, from explicit projections.
 
-    Per atom the difference of the controlled terms (both under ``lam``'s
-    controls) must have its Hermitian part between 0 and ``bound * I``,
-    decided by one ``eigvalsh`` of that part; the first failing atom is
-    reported.  Returns ``(hypothesis_met, failing_atom, applicable,
-    certified interval or None, inside)``.
+    Per atom, with both terms under ``lam``'s controls, the Hermitian part of
+    the difference must be positive semidefinite and dominated by
+    ``lambda1 * ref + lambda2 * per + eps * I``, each decided by one full
+    ``n x n`` ``eigvalsh`` (of the difference, and of dominator minus
+    difference); the first failing atom is reported.  Returns
+    ``(hypothesis_met, failing_atom, applicable, certified interval or None,
+    inside)``.
     """
+    def herm(x):
+        return (x + x.conj().T) / 2
+
     def bounds(family):
-        s = oracle_frame_operator(family)
-        ev = np.linalg.eigvalsh((s + s.conj().T) / 2)
+        ev = np.linalg.eigvalsh(herm(oracle_frame_operator(family)))
         return ev[0], ev[-1]
 
     met, failing = True, None
     for a, b in zip(lam.atoms, gam.atoms):
-        d = oracle_atom_term(lam, b) - oracle_atom_term(lam, a)
-        w = np.linalg.eigvalsh((d + d.conj().T) / 2)
-        if w[0] < -tol or w[-1] > bound + tol:
+        ref = herm(oracle_atom_term(lam, a))
+        per = herm(oracle_atom_term(lam, b))
+        d = per - ref
+        dominator = lambda1 * ref + lambda2 * per + eps * np.eye(lam.dim)
+        if np.linalg.eigvalsh(d)[0] < -tol or np.linalg.eigvalsh(dominator - d)[0] < -tol:
             met, failing = False, a.id
             break
     a_opt, b_opt = bounds(lam)
     tv2 = sum(a.weight * a.frame_weight**2 for a in lam.atoms)
-    applicable = bound * tv2 < a_opt
+    applicable = a_opt * (1 - lambda1) - eps * tv2 > 0
     if not (met and applicable):
         return met, failing, applicable, None, False
-    lower, upper = a_opt - bound * tv2, b_opt + bound * tv2
+    lower = ((1 - lambda1) * a_opt - eps * tv2) / (1 + lambda2)
+    upper = ((1 + lambda1) * b_opt + eps * tv2) / (1 - lambda2)
     a_gam, b_gam = bounds(gam)
     inside = a_gam > 1e-10 and lower <= a_gam + slack and b_gam <= upper + slack
     return met, failing, applicable, (lower, upper), inside
+
+
+def oracle_simple_perturbation(lam, gam, bound):
+    """The one-constant perturbation check: :func:`oracle_perturbation` with ``(0, 0, bound)``."""
+    return oracle_perturbation(lam, gam, 0.0, 0.0, bound)

@@ -19,6 +19,7 @@ from gfusion import (
     spectral_summary,
     transport_subspace,
 )
+from gfusion.linalg import _factor_range_basis
 
 
 def test_adjoint_identity():
@@ -205,3 +206,30 @@ def test_orthonormal_columns_drops_dependent():
 def test_subspace_rejects_skewed_basis():
     with pytest.raises(DimensionError):
         Subspace(np.array([[1.0], [1.0]]))
+
+
+@pytest.mark.parametrize("entry", [1e200, 1e200 + 1e200j])
+def test_subspace_rejects_overflowing_basis(entry):
+    """The Gram matrix overflows to inf (defect NaN) or to inf + NaN j (its SVD fails): rejected, no warning."""
+    with pytest.raises(DimensionError, match="not orthonormal"):
+        Subspace(np.array([[entry], [0.0], [0.0]]))
+
+
+def test_from_vectors_names_an_overflowing_vector():
+    with pytest.raises(DimensionError, match="vector 1 overflows"):
+        Subspace.from_vectors([np.array([1.0, 0.0, 0.0]), np.array([1e200, 0.0, 0.0])])
+
+
+def test_factor_range_basis_holds_every_factor_range():
+    """Orthonormal, one column per stacked row, and exact on a rank-deficient stack."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2, 20)) + 1j * rng.standard_normal((2, 20))
+    factors = (x, 3.0 * x, x[::-1], rng.standard_normal((1, 20)))  # 7 rows spanning 3 dimensions
+    q = _factor_range_basis(factors)
+    assert q.shape == (20, 7)
+    assert_allclose(np.conj(q).T @ q, np.eye(7), atol=1e-14)
+    for f in factors:
+        assert_allclose(q @ (np.conj(q).T @ np.conj(f).T), np.conj(f).T, atol=1e-13)
+    assert _factor_range_basis(factors[:3]) is not None  # 2 m = 12 <= 20
+    assert _factor_range_basis(factors + (x, x)) is None  # 2 m = 22 > 20
+    assert _factor_range_basis((x, np.full((1, 20), np.inf))) is None  # left to the caller's n x n check

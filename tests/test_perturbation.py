@@ -9,18 +9,27 @@ from gfusion import (
     NotAFrameError,
     PairingError,
     PerturbationParams,
+    Subspace,
     ValidationError,
     ball_partition_example,
     optimal_bounds,
+    replace_controls,
     perturb_check,
     perturb_check_simple,
     total_v2,
 )
+from gfusion.linalg import random_unit_vectors
+from gfusion.perturbation import _atom_terms
+from gfusion.tolerances import TOL_PD
 from helpers import (
     diag_family,
     generic_family,
+    lowrank_family,
     oracle_atom_term,
+    oracle_perturbation,
     oracle_simple_perturbation,
+    perturbed_family,
+    positive_control,
     scale_local_ops,
 )
 
@@ -208,3 +217,185 @@ def test_simple_check_matches_oracle(seed, dense, grow, shrink, d_rule):
         assert rep.certified_lower == pytest.approx(interval[0], rel=1e-9, abs=1e-12)
         assert rep.certified_upper == pytest.approx(interval[1], rel=1e-9, abs=1e-12)
     assert rep.inside == inside
+
+
+def _largest_difference(lam, gam):
+    diffs = [oracle_atom_term(lam, b) - oracle_atom_term(lam, a) for a, b in zip(lam.atoms, gam.atoms)]
+    return max(np.linalg.eigvalsh((d + d.conj().T) / 2)[-1] for d in diffs)
+
+
+_PARAM_RULES = [
+    ("eps", 0.5), ("eps", 2.0),
+    ("lambda1", 0.005), ("lambda1", 0.02),
+    ("lambda2", 0.005), ("lambda2", 0.02),
+    ("mixed", 0.5), ("mixed", 2.0),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@example(seed=1, kind="lowrank", control="scalar", size=24, grow="none", shrink=0, extra=False,
+         rule=("lambda1", 0.02))
+@example(seed=2, kind="lowrank", control="dense", size=30, grow="all", shrink=None, extra=False,
+         rule=("lambda1", 0.005))
+@example(seed=3, kind="lowrank", control="scalar", size=40, grow="some", shrink=None, extra=True,
+         rule=("eps", 0.5))
+@example(seed=4, kind="lowrank", control="dense", size=28, grow="all", shrink=None, extra=False,
+         rule=("lambda2", 0.02))
+@example(seed=5, kind="dense", control="scalar", size=12, grow="all", shrink=None, extra=False,
+         rule=("lambda1", 0.005))
+@example(seed=6, kind="lowrank", control="dense", size=32, grow="some", shrink=None, extra=True,
+         rule=("mixed", 2.0))
+@given(
+    seed=st.integers(0, 2**20),
+    kind=st.sampled_from(["lowrank", "dense"]),
+    control=st.sampled_from(["scalar", "dense"]),
+    size=st.integers(12, 40),
+    grow=st.sampled_from(["none", "some", "all"]),
+    shrink=st.none() | st.integers(0, 11),
+    extra=st.booleans(),
+    rule=st.sampled_from(_PARAM_RULES),
+)
+def test_two_fraction_check_matches_oracle(seed, kind, control, size, grow, shrink, extra, rule):
+    """Verdict, failing atom, applicability and ``inside`` agree with the full-``eigvalsh`` oracle.
+
+    ``lowrank`` instances have ``size`` atoms of rank and codomain at most 3
+    in dimension ``size`` under ``control`` (see :func:`lowrank_family`), so
+    every atom pair with ``2 m <= n`` takes the ``m x m`` blocks; ``dense``
+    ones have ``n`` in 4..7, codomains up to ``n + 1`` and a diagonal control,
+    so ``2 m > n`` and every term is ``n x n``.  Grown atoms have
+    their local operator scaled by ``sqrt(1.01)`` (``some``: every other
+    atom), so ``lambda1`` or ``lambda2`` of 0.005 breaks the upper ordering
+    and 0.02 keeps it; ``extra`` adds a codomain row to grown atoms, a term
+    that a fraction of the reference form need not dominate.  Atom ``shrink``
+    is scaled by ``sqrt(0.99)``, which breaks the lower ordering.  ``eps``
+    puts the absolute term at that multiple of the largest per-atom
+    difference, so 0.5 breaks the upper ordering; ``mixed`` is
+    ``(0.005, 0.005, that eps)``, where 2.0 covers the extra rows.
+    """
+    if kind == "lowrank":
+        lam = lowrank_family(seed, size, control)
+    else:
+        lam = generic_family(seed, n=4 + size % 4, n_atoms=6)
+    count = len(lam.atoms)
+    grown = {"none": set(), "some": set(range(0, count, 2)), "all": set(range(count))}[grow]
+    factors = [1.01 if i in grown else 1.0 for i in range(count)]
+    if shrink is not None:
+        factors[shrink % count] = 0.99
+    gam = perturbed_family(lam, factors, grown if extra else ())
+    name, c = rule
+    largest = _largest_difference(lam, gam)
+    eps = c * (largest if largest > 1e-6 else optimal_bounds(lam).A_opt / total_v2(lam))
+    lambda1, lambda2, eps = {
+        "eps": (0.0, 0.0, eps),
+        "lambda1": (c, 0.0, 0.0),
+        "lambda2": (0.0, c, 0.0),
+        "mixed": (0.005, 0.005, eps),
+    }[name]
+    met, failing, applicable, _, inside = oracle_perturbation(lam, gam, lambda1, lambda2, eps)
+    rep = perturb_check(lam, gam, PerturbationParams(lambda1, lambda2, eps))
+    assert rep.hypothesis_met == met
+    assert rep.failing_atom == failing
+    assert rep.applicable == applicable
+    assert rep.inside == inside
+
+
+def test_blocks_carry_the_full_terms():
+    """``Q (block) Q*`` is the ``n x n`` Hermitian term, also when ``(Y L)*`` and ``(Y R)*`` span different ranges.
+
+    The controls ``L != R`` make no frame, so the per-atom terms are checked
+    directly; the frame checks above only reach control pairs whose forms are real.
+    """
+    lam = lowrank_family(11, 30, "dense")
+    rng = np.random.default_rng(11)
+    right = lam.control_left + 0.1 * positive_control(rng, lam.dim)
+    lam = ControlledFamily(lam.dim, lam.atoms, lam.control_left, right)
+    gam = perturbed_family(lam, [1.01] * len(lam.atoms), extra_rows=range(0, len(lam.atoms), 2))
+    compressed = 0
+    for (atom_id, q, *blocks), a, b in zip(_atom_terms(lam, gam), lam.atoms, gam.atoms):
+        ref, per = (oracle_atom_term(lam, x) for x in (a, b))
+        ref, per = (ref + ref.conj().T) / 2, (per + per.conj().T) / 2
+        compressed += q is not None
+        for block, full in zip(blocks, (ref, per, per - ref)):
+            lifted = block if q is None else q @ block @ q.conj().T
+            np.testing.assert_allclose(lifted, full, atol=1e-12, err_msg=atom_id)
+    assert compressed > len(lam.atoms) // 2
+
+
+def _rank_one_family():
+    return lowrank_family(0, 64, "scalar", max_rank=1, atoms=80)
+
+
+def test_rank_one_atoms_never_reach_an_n_by_n_eigenproblem(monkeypatch):
+    """Per atom only ``m x m`` blocks (``m = 4``) are decomposed.
+
+    The ``n x n`` calls are exactly those the two frame-operator bound
+    computations make (the bounds, and the control checks of validation).
+    """
+    lam = _rank_one_family()
+    gam = perturbed_family(lam, [1.01] * len(lam.atoms))
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    optimal_bounds(lam)
+    optimal_bounds(gam)
+    bounds_shapes = list(shapes)
+    shapes.clear()
+    rep = perturb_check(lam, gam, PerturbationParams(0.02, 0.0, 0.0))
+    assert rep.hypothesis_met and rep.applicable and rep.inside  # both frame-operator bounds were computed
+    assert set(bounds_shapes) == {(64, 64)}
+    assert shapes.count((64, 64)) == len(bounds_shapes)
+    assert sorted(set(shapes) - {(64, 64)}) == [(4, 4)]
+    assert shapes.count((4, 4)) == 2 * len(lam.atoms)  # difference, and dominator minus difference
+
+
+def test_rank_deficient_stack_matches_oracle():
+    """Scalar controls and ``Y_b = s Y_a``: the ``4 d`` stacked rows span only ``d`` dimensions.
+
+    The verdicts agree with the oracle, and the sampled margin, evaluated on
+    the blocks, agrees with the same samples taken of the ``n x n`` differences.
+    """
+    lam = lowrank_family(5, 48, "scalar")
+    gam = scale_local_ops(lam, 1.05)
+    for params in [(0.2, 0.0, 0.0), (0.05, 0.0, 0.0), (0.0, 0.1, 0.0), (0.0, 0.0, 1.0)]:
+        met, failing, applicable, _, inside = oracle_perturbation(lam, gam, *params)
+        rep = perturb_check(lam, gam, PerturbationParams(*params))
+        assert (rep.hypothesis_met, rep.failing_atom, rep.applicable, rep.inside) == (met, failing, applicable, inside)
+    rep = perturb_check(lam, gam, PerturbationParams(0.2, 0.0, 0.0), samples=200, seed=3)
+    assert rep.hypothesis_met
+    f = random_unit_vectors(lam.dim, 200, 3)
+    full = min(
+        float(np.sum(np.conj(f) * (d @ f), axis=0).real.min())
+        for d in (oracle_atom_term(lam, b) - oracle_atom_term(lam, a) for a, b in zip(lam.atoms, gam.atoms))
+    )
+    assert rep.sampled_min_margin == pytest.approx(full + TOL_PD, rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("overflow", ["block", "factor"])
+def test_overflowing_compressed_atom_is_named(overflow):
+    """A rank-one atom (``2 m <= n``) whose term overflows: one error naming it, no warning.
+
+    ``block``: a ``1e200`` local-operator entry keeps the factors finite, and
+    the ``m x m`` block overflows.  ``factor``: ``Y = 1.5e308 e_0*`` on a
+    coordinate subspace, so ``Y L`` (``L = 2 I``) is already not finite.
+    """
+    lam = _rank_one_family()
+    lam = replace_controls(lam, 2.0 * np.eye(lam.dim), 2.0 * np.eye(lam.dim))
+    atoms = list(lam.atoms)
+    a = atoms[3]
+    op = np.array(a.local_op)
+    if overflow == "block":
+        op[0, 0] = 1e200
+        atoms[3] = MeasureAtom(a.id, a.weight, a.frame_weight, a.subspace, op)
+    else:
+        op = np.zeros_like(op)
+        op[0, 0] = 1.5e308
+        atoms[3] = MeasureAtom(a.id, a.weight, a.frame_weight, Subspace.coordinate(lam.dim, [0]), op)
+    gam = ControlledFamily(lam.dim, tuple(atoms), lam.control_left, lam.control_right)
+    for params in [(0.0, 0.0, 0.1), (0.1, 0.0, 0.0)]:  # a RuntimeWarning would fail the test (pyproject.toml)
+        with pytest.raises(ValidationError, match="atom 'a3': frame operator term is not finite"):
+            perturb_check(lam, gam, PerturbationParams(*params))
