@@ -183,11 +183,10 @@ class FrameReport:
 
 @dataclass(frozen=True)
 class FamilyDiagnostics:
-    """Outcome of structural validation, with the control commutation defect."""
+    """Outcome of structural validation."""
 
     ok: bool
     failures: tuple[str, ...]
-    commutation_defect: float
 
 
 def validate(family: ControlledFamily, tol_herm: float = TOL_HERM) -> FamilyDiagnostics:
@@ -195,9 +194,7 @@ def validate(family: ControlledFamily, tol_herm: float = TOL_HERM) -> FamilyDiag
 
     Controls must be positive with a bounded inverse.  Subspace bases need
     no check here: :class:`Subspace` rejects a non-orthonormal basis when it
-    is built and keeps a read-only copy.  The commutation defect
-    ``norm(LR - RL)`` of the control pair is reported for information: some
-    results need it, the definition itself does not.
+    is built and keeps a read-only copy.
     """
     failures: list[str] = []
     for name, c in (("left control", family.control_left), ("right control", family.control_right)):
@@ -206,10 +203,7 @@ def validate(family: ControlledFamily, tol_herm: float = TOL_HERM) -> FamilyDiag
         s = np.linalg.svd(c, compute_uv=False)
         if s[-1] <= TOL_SING_REL * max(s[0], 1.0):
             failures.append(f"{name} is not invertible")
-    with np.errstate(over="ignore", invalid="ignore"):  # a product beyond the double range: defect inf
-        commutator = family.control_left @ family.control_right - family.control_right @ family.control_left
-    defect = operator_norm(commutator) if np.isfinite(commutator).all() else math.inf
-    return FamilyDiagnostics(not failures, tuple(failures), defect)
+    return FamilyDiagnostics(not failures, tuple(failures))
 
 
 def require_valid(family: ControlledFamily, tol_herm: float = TOL_HERM) -> None:
@@ -229,18 +223,11 @@ def integrate(family, per_atom) -> np.ndarray:
     terms = [np.asarray(t, dtype=np.complex128) for t in per_atom]
     if len(terms) != len(family.atoms):
         raise DimensionError(f"expected {len(family.atoms)} per-atom values, got {len(terms)}")
-    shape = terms[0].shape
+    total = np.zeros(terms[0].shape, dtype=np.complex128)
     for atom, term in zip(family.atoms, terms):
-        if term.shape != shape:
-            raise DimensionError(f"atom {atom.id!r}: value has shape {term.shape}, expected {shape}")
-    return _weighted_sum([a.weight for a in family.atoms], terms)
-
-
-def _weighted_sum(weights, terms) -> np.ndarray:
-    """``sum_i w_i t_i`` over equally shaped arrays, added one term at a time in the order given."""
-    total = np.zeros(np.shape(terms[0]), dtype=np.complex128)
-    for w, t in zip(weights, terms):
-        total += w * t
+        if term.shape != total.shape:
+            raise DimensionError(f"atom {atom.id!r}: value has shape {term.shape}, expected {total.shape}")
+        total += atom.weight * term
     return total
 
 

@@ -7,15 +7,16 @@ what gets tested: it is exact and basis-free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import _frame_inverse, _require_commuting, atom_factor, optimal_bounds
+from .analysis import _frame_inverse, _require_commuting, atom_factor, atom_sum, optimal_bounds
 from .errors import DimensionError, HypothesisError
-from .family import ControlledFamily, _require_same_operator, _weighted_sum, replace_controls
-from .linalg import adjoint, inverse, operator_norm, random_unit_vectors
+from .family import ControlledFamily, _require_same_operator, replace_controls
+from .linalg import adjoint, as_operator, inverse, operator_norm, random_unit_vectors
 from .tolerances import DEFAULT_SEED, TOL_COMM, TOL_FRAME, TOL_HERM, TOL_RES, TOL_SLACK
 
 __all__ = [
@@ -31,39 +32,71 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OperatorFamily:
-    """Weighted square operators on a common space."""
+    """Weighted operators ``X_i* Y_i`` on a common space, kept as read-only ``d_i x n`` factor pairs.
 
-    terms: tuple[np.ndarray, ...]
+    Memory is ``O(atoms d n)`` and the weighted sum is one :func:`~gfusion.analysis.atom_sum`.
+    ``OperatorFamily(terms, weights)`` takes finite square matrices, each kept as the pair
+    ``(I, t)``, and finite positive weights.
+    """
+
+    factors: tuple[tuple[np.ndarray, np.ndarray], ...]
     weights: tuple[float, ...]
 
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, terms, weights):
+        terms = tuple(as_operator(t) for t in terms)
+        if not terms:
             raise ValueError("an operator family needs at least one term")
-        if len(self.terms) != len(self.weights):
+        n = terms[0].shape[0]
+        if any(t.shape != (n, n) for t in terms):
+            raise DimensionError("terms must be square and share one shape")
+        eye = as_operator(np.eye(n))
+        self._set(tuple((eye, t) for t in terms), weights)
+
+    @classmethod
+    def _from_factors(cls, factors, weights) -> "OperatorFamily":
+        """Pairs computed from a checked family, frozen in place rather than copied."""
+        for pair in factors:
+            for f in pair:
+                f.setflags(write=False)
+        fam = cls.__new__(cls)
+        fam._set(tuple(factors), weights)
+        return fam
+
+    def _set(self, factors, weights) -> None:
+        weights = tuple(float(w) for w in weights)
+        if len(factors) != len(weights):
             raise DimensionError("terms and weights have different lengths")
-        shape = np.asarray(self.terms[0]).shape
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise DimensionError(f"terms must be square, got shape {shape}")
-        frozen = []
-        for t in self.terms:
-            t = np.array(t, dtype=np.complex128, copy=True)
-            if t.shape != shape:
-                raise DimensionError("terms do not share a common shape")
-            t.setflags(write=False)
-            frozen.append(t)
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
-        object.__setattr__(self, "terms", tuple(frozen))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        if not all(math.isfinite(w) and w > 0 for w in weights):
+            raise ValueError("weights must be finite and positive")
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def dim(self) -> int:
-        return int(self.terms[0].shape[0])
+        return int(self.factors[0][1].shape[1])
+
+    @property
+    def terms(self) -> tuple[np.ndarray, ...]:
+        """The ``n x n`` terms ``X_i* Y_i``, built on demand for inspection."""
+        return tuple(adjoint(x) @ y for x, y in self.factors)
 
     def weighted_sum(self) -> np.ndarray:
-        return _weighted_sum(self.weights, self.terms)
+        return atom_sum(self.dim, ((w, x, y) for w, (x, y) in zip(self.weights, self.factors)))
+
+
+def _resolution_families(family: ControlledFamily, controls) -> list[OperatorFamily]:
+    """Per control pair ``(A, B)``, the terms ``w_i (y_i A)* (y_i B)`` with ``y_i = v_i A_i P_i``.
+
+    Each ``y_i`` is formed once, however many pairs are given.
+    """
+    factors = [[] for _ in controls]
+    for atom in family.atoms:
+        y = atom.frame_weight * atom_factor(atom)
+        for out, (a, b) in zip(factors, controls):
+            out.append((y @ a, y @ b))
+    return [OperatorFamily._from_factors(f, [atom.weight for atom in family.atoms]) for f in factors]
 
 
 @dataclass(frozen=True)
@@ -94,19 +127,8 @@ def canonical_resolutions(
     conditioning of the frame operator.
     """
     _, s_inv = _frame_inverse(family, "resolutions need a frame,", tol_frame, tol_herm)
-    left_terms = []
-    right_terms = []
-    for atom in family.atoms:  # S^-1 L* Y* Y R and L* Y* Y R S^-1, with Y = v A P
-        y = atom.frame_weight * atom_factor(atom)
-        yl = adjoint(y @ family.control_left)
-        yr = y @ family.control_right
-        left_terms.append((s_inv @ yl) @ yr)
-        right_terms.append(yl @ (yr @ s_inv))
-    weights = tuple(a.weight for a in family.atoms)
-    return CanonicalResolutions(
-        left=OperatorFamily(tuple(left_terms), weights),
-        right=OperatorFamily(tuple(right_terms), weights),
-    )
+    lc, rc = family.controls  # left terms S^-1 L* y* y R, right terms L* y* y R S^-1
+    return CanonicalResolutions(*_resolution_families(family, ((lc @ adjoint(s_inv), rc), (lc, rc @ s_inv))))
 
 
 @dataclass(frozen=True)
@@ -142,12 +164,7 @@ def dual_resolution_bounds(
     """
     report, s_inv = _frame_inverse(family, "dual bounds need a frame,", tol_frame, tol_herm)
     _require_commuting(s_inv, family, TOL_COMM, "inverse frame operator")
-    r_dual = s_inv @ family.control_right
-    terms = []
-    for atom in family.atoms:
-        y = atom.frame_weight * atom_factor(atom)
-        terms.append(adjoint(y @ family.control_left) @ (y @ r_dual))
-    fam_ops = OperatorFamily(tuple(terms), tuple(a.weight for a in family.atoms))
+    (fam_ops,) = _resolution_families(family, ((family.control_left, s_inv @ family.control_right),))
     res = is_resolution(fam_ops, tol_res)
 
     f = random_unit_vectors(family.dim, samples, seed)
@@ -210,11 +227,7 @@ def resolution_implies_frame(
     if bessel.verdict == "not-bessel-diagnostic":
         raise HypothesisError("the quadratic form of the input family is not real")
     t = family.control_left
-    terms = []
-    for atom in family.atoms:
-        y = atom.frame_weight * atom_factor(atom)
-        terms.append(adjoint(y @ t) @ (y @ new_control))
-    fam_ops = OperatorFamily(tuple(terms), tuple(a.weight for a in family.atoms))
+    (fam_ops,) = _resolution_families(family, ((t, new_control),))
     res = is_resolution(fam_ops, tol_res)
     if not res.holds:
         return ResolutionFrameReport(
