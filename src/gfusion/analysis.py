@@ -327,13 +327,12 @@ def transform_family(family: ControlledFamily, v: np.ndarray) -> ControlledFamil
     require_valid(family)
     v = np.asarray(v, dtype=np.complex128)
     _require_commuting(adjoint(v), family, TOL_COMM, "adjoint of the transform")
-    return _transform(family, v)
+    return _transform(family, _nonsingular_operator(v, family.dim))
 
 
 def _transform(family: ControlledFamily, v: np.ndarray) -> ControlledFamily:
-    """:func:`transform_family` of a family already validated and checked against ``v*``."""
+    """:func:`transform_family` of a validated family along a checked ``v``: nonsingular, ``v*`` commuting."""
     vh = adjoint(v)
-    v = _nonsingular_operator(v, family.dim)
     new_atoms = []
     for atom in family.atoms:
         new_atoms.append(

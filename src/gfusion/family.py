@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, PairingError, ValidationError
-from .linalg import Subspace, as_operator, is_positive, operator_norm
-from .tolerances import TOL_HERM, TOL_SAME, TOL_SING_REL
+from .linalg import Subspace, _hermitian_spectrum, _singular, as_operator, operator_norm
+from .tolerances import TOL_HERM, TOL_SAME
 
 __all__ = [
     "ControlledFamily",
@@ -192,16 +192,18 @@ class FamilyDiagnostics:
 def validate(family: ControlledFamily, tol_herm: float = TOL_HERM) -> FamilyDiagnostics:
     """Check the structural hypotheses on a controlled family.
 
-    Controls must be positive with a bounded inverse.  Subspace bases need
-    no check here: :class:`Subspace` rejects a non-orthonormal basis when it
-    is built and keeps a read-only copy.
+    Controls must be positive with a bounded inverse, both read from one eigenvalue
+    solve per control: within ``tol_herm`` of Hermitian, its absolute eigenvalues
+    are its singular values; otherwise it is not positive, and not tested further.
+    Subspace bases need no check here: :class:`Subspace` rejects a non-orthonormal
+    basis when it is built and keeps a read-only copy.
     """
     failures: list[str] = []
     for name, c in (("left control", family.control_left), ("right control", family.control_right)):
-        if not is_positive(c, tol_herm):
+        w = _hermitian_spectrum(c, tol_herm)
+        if w is None or not w[0] >= -tol_herm:
             failures.append(f"{name} is not positive within tolerance")
-        s = np.linalg.svd(c, compute_uv=False)
-        if s[-1] <= TOL_SING_REL * max(s[0], 1.0):
+        if w is not None and _singular(np.abs(w)):
             failures.append(f"{name} is not invertible")
     return FamilyDiagnostics(not failures, tuple(failures))
 

@@ -6,13 +6,20 @@ and spectral bounds of Hermitian parts.  Spectra are computed by dense
 Hermitian eigendecomposition; dimensions are capped at desk scale
 (:data:`~gfusion.tolerances.MAX_DIM`), trading scalability for exactness.
 
+This is the one module that calls LAPACK (``numpy.linalg``), and each call
+goes through :func:`_lapack`, which runs it with the BLAS pinned to one
+thread, so every decomposition has the same bits at every BLAS thread count.
+Matrix products keep their threads.
+
 All helpers treat their inputs as immutable and return freshly allocated,
 write-protected arrays, so values can be shared freely between threads.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +41,7 @@ __all__ = [
     "as_operator",
     "as_vector",
     "herm_defect",
+    "hermitian_eigenvalues",
     "hermitian_part",
     "inner",
     "inverse",
@@ -48,6 +56,52 @@ __all__ = [
     "spectral_summary",
     "transport_subspace",
 ]
+
+
+def _blas_thread_calls():
+    """The ``(get, set)`` thread-count functions of the OpenBLAS numpy loaded, or ``None``.
+
+    numpy's wheels bundle ``scipy_openblas64_``; its symbols are found through
+    numpy's own LAPACK extension module, which links it.  With any other BLAS
+    the pin does nothing, and same bits across thread counts then need
+    ``OPENBLAS_NUM_THREADS=1`` (or that BLAS's equivalent).
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+_BLAS_THREADS = _blas_thread_calls()
+_BLAS_LOCK = threading.Lock()
+
+
+def _lapack(name: str, *args, **kwargs):
+    """``np.linalg.<name>(*args, **kwargs)``, run with the BLAS on one thread.
+
+    How a multithreaded LAPACK call splits its work changes its rounding, so
+    a BLAS on more than one thread is set to one for the call and restored
+    after it; the lock makes save, set and restore atomic for concurrent
+    Python threads, and no state outlives the call.  The function is looked
+    up at call time, so wrappers patched onto ``np.linalg`` see every call.
+    """
+    fn = getattr(np.linalg, name)
+    if _BLAS_THREADS is None:
+        return fn(*args, **kwargs)
+    get, set_ = _BLAS_THREADS
+    with _BLAS_LOCK:
+        threads = get()
+        if threads > 1:
+            set_(1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if threads > 1:
+                set_(threads)
 
 
 def as_operator(a) -> np.ndarray:
@@ -86,12 +140,12 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 def operator_norm(a: np.ndarray) -> float:
     """Largest singular value (the operator 2-norm)."""
-    return float(np.linalg.norm(np.asarray(a), 2))
+    return float(_lapack("norm", np.asarray(a), 2))
 
 
 def sigma_min(a: np.ndarray) -> float:
     """Smallest singular value."""
-    return float(np.linalg.svd(np.asarray(a), compute_uv=False)[-1])
+    return float(_lapack("svd", np.asarray(a), compute_uv=False)[-1])
 
 
 def _require_square(a: np.ndarray) -> np.ndarray:
@@ -108,9 +162,27 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def herm_defect(a: np.ndarray) -> float:
-    """``norm(a - a*) / max(1, norm(a))``, a scale-aware asymmetry measure."""
+    """``norm(a - a*) / max(1, norm(a))``, a scale-aware asymmetry measure (0.0, with no SVD, if ``a`` is Hermitian)."""
     a = _require_square(a)
-    return operator_norm(a - np.conj(a).T) / max(1.0, operator_norm(a))
+    skew = a - np.conj(a).T
+    if not skew.any():
+        return 0.0
+    return operator_norm(skew) / max(1.0, operator_norm(a))
+
+
+def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix (only its lower triangle is read)."""
+    return _lapack("eigvalsh", _require_square(h))
+
+
+def _hermitian_spectrum(a: np.ndarray, tol: float) -> np.ndarray | None:
+    """Eigenvalues of the Hermitian part of ``a``, or ``None`` if ``herm_defect(a) > tol``."""
+    return None if herm_defect(a) > tol else hermitian_eigenvalues(hermitian_part(a))
+
+
+def _singular(s: np.ndarray) -> bool:
+    """The one singularity test, on singular values ``s`` in any order: ``sigma_min <= TOL_SING_REL * sigma_max``."""
+    return bool(s.min() <= TOL_SING_REL * s.max())
 
 
 def is_positive(a: np.ndarray, tol: float = TOL_PD) -> bool:
@@ -119,11 +191,8 @@ def is_positive(a: np.ndarray, tol: float = TOL_PD) -> bool:
     True iff the Hermiticity defect is at most ``tol`` and the smallest
     eigenvalue of the Hermitian part is at least ``-tol``.
     """
-    a = _require_square(a)
-    if herm_defect(a) > tol:
-        return False
-    w = np.linalg.eigvalsh(hermitian_part(a))
-    return bool(w[0] >= -tol)
+    w = _hermitian_spectrum(a, tol)
+    return w is not None and bool(w[0] >= -tol)
 
 
 def operator_sqrt(a: np.ndarray, tol: float = TOL_PD) -> np.ndarray:
@@ -138,7 +207,7 @@ def operator_sqrt(a: np.ndarray, tol: float = TOL_PD) -> np.ndarray:
     defect = herm_defect(a)
     if defect > tol:
         raise NotPositiveError(f"operator is not Hermitian within tol ({defect:.3e} > {tol:.3e})")
-    w, q = np.linalg.eigh(hermitian_part(a))
+    w, q = _lapack("eigh", hermitian_part(a))
     if w[0] < -tol:
         raise NotPositiveError(f"operator has eigenvalue {w[0]:.3e} below -tol")
     w = np.clip(w, 0.0, None)
@@ -158,20 +227,19 @@ class SpectralSummary:
 
 def spectral_summary(a: np.ndarray) -> SpectralSummary:
     """Spectral bounds of the Hermitian part of a square operator."""
-    a = _require_square(a)
-    w = np.linalg.eigvalsh(hermitian_part(a))
+    w = hermitian_eigenvalues(hermitian_part(a))
     return SpectralSummary(float(w[0]), float(w[-1]), herm_defect(a))
 
 
-def inverse(a: np.ndarray, tol_sing: float = TOL_SING_REL) -> np.ndarray:
-    """Matrix inverse, guarded by a relative singularity threshold."""
+def inverse(a: np.ndarray) -> np.ndarray:
+    """Matrix inverse; a numerically singular ``a`` raises :class:`SingularOperatorError`."""
     a = _require_square(a)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= tol_sing * s[0]:
+    s = _lapack("svd", a, compute_uv=False)
+    if _singular(s):
         raise SingularOperatorError(
             f"operator is numerically singular (sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e})"
         )
-    out = np.linalg.inv(a)
+    out = _lapack("inv", a)
     out.setflags(write=False)
     return out
 
@@ -197,7 +265,7 @@ def _factor_range_basis(factors) -> np.ndarray | None:
     stack = np.vstack(factors)
     if not np.isfinite(stack).all():
         return None
-    return np.linalg.qr(np.conj(stack).T)[0]
+    return _lapack("qr", np.conj(stack).T)[0]
 
 
 def overflowing_column(cols: np.ndarray) -> int | None:
@@ -211,28 +279,17 @@ def overflowing_column(cols: np.ndarray) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
-def orthonormal_columns(m: np.ndarray, drop_tol: float = DROP_TOL) -> np.ndarray:
-    """Orthonormalize the columns of ``m``.
+def orthonormal_columns(m: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the column span of ``m``.
 
-    Modified Gram-Schmidt with one reorthogonalization pass; columns whose
-    residual norm falls below ``drop_tol`` are dropped (rank reveal).
+    The left singular vectors of one thin SVD whose singular values exceed
+    ``DROP_TOL``, so the rank is revealed whatever the order of the columns.
     """
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a matrix, got shape {m.shape}")
-    basis: list[np.ndarray] = []
-    for j in range(m.shape[1]):
-        w = m[:, j].copy()
-        for _ in range(2):  # one MGS pass plus one reorthogonalization
-            for b in basis:
-                w = w - b * np.vdot(b, w)
-        nrm = float(np.linalg.norm(w))
-        if nrm < drop_tol:
-            continue
-        basis.append(w / nrm)
-    if not basis:
+    u, s, _ = _lapack("svd", as_operator(m), full_matrices=False)
+    rank = int(np.count_nonzero(s > DROP_TOL))
+    if not rank:
         raise DimensionError("no linearly independent columns survived orthonormalization")
-    out = np.column_stack(basis)
+    out = u[:, :rank]
     out.setflags(write=False)
     return out
 
@@ -250,10 +307,7 @@ class Subspace:
             raise DimensionError(f"basis has {r} columns in ambient dimension {n}")
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing Gram matrix is rejected below
             residual = np.conj(b).T @ b - np.eye(r)
-        try:
-            defect = operator_norm(residual)  # NaN for some non-finite residuals
-        except np.linalg.LinAlgError:  # the SVD of others fails
-            defect = math.inf
+        defect = operator_norm(residual) if np.isfinite(residual).all() else math.inf
         if not defect <= TOL_ORTH:
             raise DimensionError(
                 f"basis columns are not orthonormal (defect {defect:.3e}); "
@@ -270,13 +324,13 @@ class Subspace:
         return int(self.basis.shape[1])
 
     @classmethod
-    def from_vectors(cls, vectors, drop_tol: float = DROP_TOL) -> "Subspace":
+    def from_vectors(cls, vectors) -> "Subspace":
         """Build a subspace from spanning vectors (columns), orthonormalizing them."""
         cols = np.column_stack([np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors])
         j = overflowing_column(cols)
         if j is not None:
             raise DimensionError(f"vector {j} overflows: its squared norm is not a finite double")
-        return cls(orthonormal_columns(cols, drop_tol))
+        return cls(orthonormal_columns(cols))
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
@@ -310,18 +364,17 @@ def _nonsingular_operator(v, dim: int) -> np.ndarray:
 
     Raises :class:`SingularOperatorError` when ``v`` is numerically singular,
     since subspaces cannot be transported along it.  A family transform runs
-    this check once, not once per atom.
+    this check once, not once per atom (the canonical dual's ``S^-1`` passed it in :func:`inverse`).
     """
     v = _require_square(as_operator(v))
     if v.shape[0] != dim:
         raise DimensionError("operator and subspace live in different dimensions")
-    sv = np.linalg.svd(v, compute_uv=False)
-    if sv[-1] <= TOL_SING_REL * sv[0]:
+    if _singular(_lapack("svd", v, compute_uv=False)):
         raise SingularOperatorError("cannot transport a subspace along a singular operator")
     return v
 
 
-def transport_subspace(v: np.ndarray, s: Subspace, drop_tol: float = DROP_TOL) -> Subspace:
+def transport_subspace(v: np.ndarray, s: Subspace) -> Subspace:
     """Image of a subspace under an invertible operator.
 
     Returns the orthonormalized span of ``v @ basis``.  The transported
@@ -329,16 +382,12 @@ def transport_subspace(v: np.ndarray, s: Subspace, drop_tol: float = DROP_TOL) -
     ``v`` when ``v`` is unitary.
     """
     v = _nonsingular_operator(v, s.ambient_dim)
-    return Subspace(orthonormal_columns(v @ s.basis, drop_tol))
+    return Subspace(orthonormal_columns(v @ s.basis))
 
 
-def random_unit_vectors(
-    n: int, count: int, seed: int | np.random.Generator = DEFAULT_SEED, real: bool = False
-) -> np.ndarray:
-    """Columns drawn uniformly from the unit sphere (complex by default)."""
+def random_unit_vectors(n: int, count: int, seed: int | np.random.Generator = DEFAULT_SEED) -> np.ndarray:
+    """Columns drawn uniformly from the unit sphere of ``C^n``."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     z = rng.standard_normal((n, count))
-    if not real:
-        z = z + 1j * rng.standard_normal((n, count))
-    z = np.asarray(z, dtype=np.complex128)
-    return z / np.linalg.norm(z, axis=0, keepdims=True)
+    z = np.asarray(z + 1j * rng.standard_normal((n, count)), dtype=np.complex128)
+    return z / _lapack("norm", z, axis=0, keepdims=True)

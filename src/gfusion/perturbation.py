@@ -35,7 +35,7 @@ import numpy as np
 from .analysis import atom_factor, optimal_bounds
 from .errors import NotAFrameError, PairingError, ValidationError
 from .family import ControlledFamily, _require_same_operator, _require_same_weights, require_valid, total_v2
-from .linalg import _factor_range_basis, adjoint, hermitian_part, random_unit_vectors
+from .linalg import _factor_range_basis, adjoint, hermitian_eigenvalues, hermitian_part, random_unit_vectors
 from .tolerances import DEFAULT_SEED, TOL_FRAME, TOL_HERM, TOL_PD, TOL_SLACK
 
 __all__ = [
@@ -157,14 +157,14 @@ def perturb_check(
         deltas.append((q, delta))
         # On span Q the n - m zero eigenvalues outside it are left out: 0 clears
         # -TOL_PD, and eps >= 0, so the block's extreme eigenvalues decide each test.
-        w = np.linalg.eigvalsh(delta)
+        w = hermitian_eigenvalues(delta)
         if w[0] < -TOL_PD:
             hypothesis_met, failing_atom = False, atom_id
             break
         if params.lambda1 == params.lambda2 == 0.0:  # dominator eps * I: lambda_min(eps I - delta) = eps - w[-1]
             upper_margin = params.eps - w[-1]
         else:  # eps * I shifts every eigenvalue
-            upper_margin = params.eps + np.linalg.eigvalsh(params.lambda1 * ref + params.lambda2 * per - delta)[0]
+            upper_margin = params.eps + hermitian_eigenvalues(params.lambda1 * ref + params.lambda2 * per - delta)[0]
         if upper_margin < -TOL_PD:
             hypothesis_met, failing_atom = False, atom_id
             break

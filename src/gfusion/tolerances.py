@@ -12,8 +12,8 @@ assembled), every bounds verdict, and the positivity and resolution tests.
 Library functions take them as the keywords ``tol_herm``, ``tol_frame`` and
 ``tol_res`` (``tol`` of ``pair_bounded_below`` is ``tol_frame``).  The only
 other thresholds a caller can set are ``tol`` of ``cross_duality_check``
-(``TOL_DUAL``) and of ``is_resolution`` (``TOL_RES``), and the tolerances
-of the ``linalg`` primitives.  ``TOL_COMM`` (reports print it as
+(``TOL_DUAL``) and of ``is_resolution`` (``TOL_RES``), and ``tol`` of
+``is_positive`` and ``operator_sqrt`` (``TOL_PD``).  ``TOL_COMM`` (reports print it as
 ``tol_comm``), ``TOL_SLACK``, ``TOL_FACT``, ``TOL_SWAP`` and the rest are
 fixed.
 """
@@ -27,7 +27,7 @@ TOL_COMM = 1e-8       # relative commutation defect allowed by checked hypothese
 TOL_RES = 1e-8        # residual norm allowed for a resolution of the identity
 TOL_DUAL = 1e-8       # identity residual for cross-duality composites
 TOL_SAME = 1e-12      # relative difference below which two weights or operators count as the same
-DROP_TOL = 1e-12      # Gram-Schmidt rank-reveal drop threshold
+DROP_TOL = 1e-12      # singular values at or below it are dropped when orthonormalizing (rank reveal)
 TOL_SLACK = 1e-9      # absolute slack of every certified-vs-computed bound or norm comparison
 TOL_FACT = 1e-9       # relative factorization residual of the controlled pair sum
 TOL_SWAP = 1e-10      # adjoint-swap residual of the pair operator, relative to max(1, its norm)

@@ -304,3 +304,14 @@ def oracle_perturbation(lam, gam, lambda1, lambda2, eps, tol=1e-10, slack=1e-9):
 def oracle_simple_perturbation(lam, gam, bound):
     """The one-constant perturbation check: :func:`oracle_perturbation` with ``(0, 0, bound)``."""
     return oracle_perturbation(lam, gam, 0.0, 0.0, bound)
+
+
+def oracle_dual_form(family):
+    """``sum_i w_i v_i^2 (A_i P_i S^-1 L)* (A_i P_i S^-1 R)``: ``Re f* M f`` is the dual-atom form."""
+    s_inv = np.linalg.inv(oracle_frame_operator(family))
+    m = np.zeros((family.dim, family.dim), dtype=complex)
+    for atom in family.atoms:
+        dual = atom.local_op @ oracle_projection(atom) @ s_inv
+        left, right = dual @ family.control_left, dual @ family.control_right
+        m = m + atom.weight * atom.frame_weight**2 * (left.conj().T @ right)
+    return m

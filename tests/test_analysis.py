@@ -30,6 +30,7 @@ from gfusion import (
 from helpers import (
     diag_family,
     generic_family,
+    lowrank_family,
     oracle_frame_operator,
     oracle_gram,
     oracle_plain_operator,
@@ -436,3 +437,15 @@ def test_cross_duality_unrelated_families():
     rep = cross_duality_check(fam, other)
     assert not rep.is_identity
     assert rep.certified_lower_a is None
+
+
+def test_canonical_dual_makes_one_n_by_n_svd_and_no_vdot(monkeypatch):
+    """The dual's bases come from thin SVDs of ``n x r`` images, and ``S^-1`` is checked once, in ``inverse``."""
+    fam = lowrank_family(4, 12)
+    svd, vdot, shapes, vdots = np.linalg.svd, np.vdot, [], []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw))
+    monkeypatch.setattr(np, "vdot", lambda *args: vdots.append(1) or vdot(*args))
+    canonical_dual(fam)
+    assert shapes.count((12, 12)) == 1
+    assert sorted(set(shapes) - {(12, 12)}) == sorted({(12, a.subspace.dim) for a in fam.atoms})
+    assert vdots == []

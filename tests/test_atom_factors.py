@@ -87,12 +87,15 @@ def test_canonical_resolution_terms_match_oracle(seed):
 
 
 # Builds one seeded n=192 low-rank pair and prints a digest of the raw bytes of
-# each assembled operator.
+# each assembled operator; then, for a seeded frame of 70 rank-3 atoms, of its
+# inverse frame operator and canonical right resolution sum, and of an
+# orthonormalized seeded 256 x 64 matrix.
 _DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
 from gfusion import (BesselPair, ControlledFamily, MeasureAtom, MultiplierSymbol, Subspace,
-                     frame_operator, multiplier, pair_frame_operator)
+                     canonical_resolutions, frame_operator, inverse, multiplier, orthonormal_columns,
+                     pair_frame_operator)
 
 n, count = 192, 60
 rng = np.random.default_rng(192)
@@ -114,6 +117,18 @@ pair = BesselPair(lam, family())
 symbol = MultiplierSymbol(tuple(rng.standard_normal(count) + 1j * rng.standard_normal(count)))
 for op in (frame_operator(lam), pair_frame_operator(pair), multiplier(symbol, pair)):
     print(hashlib.sha256(np.ascontiguousarray(op).tobytes()).hexdigest())
+
+rng = np.random.default_rng(70)
+atoms = []
+for i in range(70):
+    q, _ = np.linalg.qr(rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)))
+    local = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    atoms.append(MeasureAtom(f"f{i}", float(rng.uniform(0.5, 2.0)), 1.0, Subspace(q), local))
+frame = ControlledFamily(n, tuple(atoms), control, control)
+wide = rng.standard_normal((256, 64)) + 1j * rng.standard_normal((256, 64))
+for op in (inverse(frame_operator(frame)), canonical_resolutions(frame).right.weighted_sum(),
+           orthonormal_columns(wide)):
+    print(hashlib.sha256(np.ascontiguousarray(op).tobytes()).hexdigest())
 """
 
 
@@ -130,5 +145,5 @@ def _digests(threads: int) -> list[str]:
 
 def test_assembled_operators_are_bit_identical_across_blas_threads():
     one = _digests(1)
-    assert len(one) == 3
+    assert len(one) == 6
     assert _digests(2) == one

@@ -6,11 +6,13 @@ from gfusion import (
     ControlledFamily,
     DimensionError,
     MeasureAtom,
+    SingularOperatorError,
     Subspace,
     ValidationError,
     ball_partition_example,
     frame_operator,
     integrate,
+    inverse,
     require_valid,
     total_v2,
     validate,
@@ -129,3 +131,27 @@ def test_family_rejects_mismatched_dimensions():
     atom = MeasureAtom("a0", 1.0, 1.0, Subspace.full(3), np.eye(3))
     with pytest.raises(DimensionError):
         ControlledFamily(2, (atom,), np.eye(2), np.eye(2))
+
+
+def test_validate_reads_each_control_from_one_eigenvalue_solve(monkeypatch):
+    """Exactly Hermitian controls: positivity and invertibility come from one ``eigvalsh`` each."""
+    fam = ball_partition_example(3.0, 2.0, 1.5)
+    calls = []
+    for name in ("svd", "norm", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
+    assert validate(fam).ok
+    assert calls == ["eigvalsh", "eigvalsh"]
+
+
+@pytest.mark.parametrize("control, invertible", [(1e-13 * np.eye(2), True), (np.diag([1.0, 1e-13]), False)])
+def test_validate_and_inverse_share_one_singularity_test(control, invertible):
+    """Singularity is relative to the largest singular value, in validation as in ``inverse``."""
+    fam = ControlledFamily(2, _one_atom_family().atoms, control, control)
+    assert validate(fam).ok == invertible
+    if invertible:
+        inverse(control)
+    else:
+        assert validate(fam).failures == ("left control is not invertible", "right control is not invertible")
+        with pytest.raises(SingularOperatorError):
+            inverse(control)

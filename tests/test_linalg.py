@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -233,3 +236,23 @@ def test_factor_range_basis_holds_every_factor_range():
     assert _factor_range_basis(factors[:3]) is not None  # 2 m = 12 <= 20
     assert _factor_range_basis(factors + (x, x)) is None  # 2 m = 22 > 20
     assert _factor_range_basis((x, np.full((1, 20), np.inf))) is None  # left to the caller's n x n check
+
+
+def test_from_vectors_reveals_the_rank_of_a_repeated_direction():
+    """``[a, 2a, b]`` spans ``span{a, b}``: two columns, and that projection to rounding."""
+    rng = np.random.default_rng(5)
+    a, b = (rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(2))
+    s = Subspace.from_vectors([a, 2 * a, b])
+    q = np.linalg.qr(np.column_stack([a, b]))[0]
+    assert s.dim == 2
+    assert operator_norm(projection(s) - q @ q.conj().T) < 1e-12
+
+
+def test_only_linalg_calls_numpy_linalg():
+    """``linalg`` is the one module that reaches LAPACK, so one thread pin covers every call."""
+    src = Path(__file__).resolve().parent.parent / "src" / "gfusion"
+    offenders = [
+        p.name for p in sorted(src.glob("*.py"))
+        if p.name != "linalg.py" and re.search(r"np\.linalg\.|numpy\.linalg|from numpy import linalg", p.read_text())
+    ]
+    assert offenders == []

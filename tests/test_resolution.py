@@ -17,7 +17,8 @@ from gfusion import (
     optimal_bounds,
     resolution_implies_frame,
 )
-from helpers import diag_family
+from gfusion.tolerances import TOL_SLACK
+from helpers import diag_family, lowrank_family, oracle_dual_form
 
 
 def coordinate_projections(n):
@@ -160,3 +161,26 @@ def test_resolution_implies_frame_detects_failure():
     rep = resolution_implies_frame(fam, 1e-3 * np.eye(fam.dim))
     assert not rep.hypothesis_met
     assert rep.certified_lower is None
+
+
+@pytest.mark.parametrize("family", [diag_family(5), lowrank_family(6, 10)], ids=["diagonal", "lowrank"])
+def test_dual_form_sandwich_is_decided_on_the_spectrum_of_its_hermitian_part(monkeypatch, family):
+    """The last ``n x n`` eigenvalue solve is of ``H(M)``; its extremes are the form's exact range."""
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def spy(a, *args, **kwargs):
+        w = eigvalsh(a, *args, **kwargs)
+        calls.append((np.array(a), w))
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    rep = dual_resolution_bounds(family)
+    m = oracle_dual_form(family)
+    h = (m + m.conj().T) / 2
+    decided, w = [c for c in calls if c[0].shape == (family.dim, family.dim)][-1]
+    scale = np.abs(np.linalg.eigvalsh(h)).max()
+    assert np.abs(decided - h).max() <= 1e-10 * scale
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(h), rtol=1e-10, atol=1e-10 * scale)
+    assert rep.sandwich_ok == (w[0] >= rep.sandwich_lower - TOL_SLACK and w[-1] <= rep.sandwich_upper + TOL_SLACK)
+    assert rep.sandwich_ok
+    assert w[0] - 1e-10 * scale <= rep.sampled_min <= rep.sampled_max <= w[-1] + 1e-10 * scale
