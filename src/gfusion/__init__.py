@@ -67,7 +67,6 @@ from .linalg import (
     operator_sqrt,
     orthonormal_columns,
     projection,
-    random_unit_vectors,
     sigma_min,
     spectral_summary,
     transport_subspace,

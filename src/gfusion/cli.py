@@ -3,10 +3,11 @@
 Loads family documents, dispatches analyses, and prints one machine-readable
 JSON report per invocation to standard output (diagnostics go to standard
 error).  Exit status: 0 for an affirmative verdict, 2 for a negative one,
-1 for errors and inapplicable checks; the three are never conflated.
+1 for errors (a usage error too) and inapplicable checks; the three are
+never conflated.
 
-Reports embed the tolerances and seed used, and repeated runs with the same
-inputs and flags produce byte-identical output.
+Reports embed the tolerances used, and repeated runs with the same inputs
+and flags produce byte-identical output.  No command draws a random number.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .pairs import (
 from .perturbation import PerturbationParams, perturb_check
 from .resolution import canonical_resolutions, dual_resolution_bounds, is_resolution
 from .serialization import _write_document, canonical_json, family_to_document, load_family
-from .tolerances import DEFAULT_SEED, TOL_COMM, TOL_FRAME, TOL_HERM, TOL_RES, TOL_SLACK, TOL_SWAP
+from .tolerances import TOL_COMM, TOL_FRAME, TOL_HERM, TOL_RES, TOL_SLACK, TOL_SWAP
 
 BUILTIN_NAMES = ("paper-example",)
 
@@ -55,10 +56,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="lower-bound floor for a frame verdict")
     parser.add_argument("--tol-res", type=float, default=TOL_RES,
                         help="residual tolerance for resolutions of the identity")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for sampling diagnostics")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="force sequential reduction (already the default behavior)")
 
 
 def _family_source_flags(parser: argparse.ArgumentParser) -> None:
@@ -72,8 +69,16 @@ def _family_source_flags(parser: argparse.ArgumentParser) -> None:
                         help="cell masses for the builtin family")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as every other error does (argparse uses 2, a negative verdict)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gfusion",
         description="Numerical workbench for continuous controlled g-fusion frames.",
     )
@@ -144,8 +149,6 @@ def _base_report(args, **fields) -> dict:
             "tol_res": args.tol_res,
             "tol_comm": TOL_COMM,
         },
-        "seed": args.seed,
-        "deterministic": True,
     }
     report.update(fields)
     return report
@@ -305,7 +308,7 @@ def _perturbation_params(args) -> tuple[PerturbationParams, dict]:
 def cmd_perturb(args) -> tuple[dict, int]:
     params, mode = _perturbation_params(args)
     fam_a, _, fam_b, _ = _load_pair(args)
-    rep = perturb_check(fam_a, fam_b, params, seed=args.seed, tol_frame=args.tol_frame, tol_herm=args.tol_herm)
+    rep = perturb_check(fam_a, fam_b, params, tol_frame=args.tol_frame, tol_herm=args.tol_herm)
     if not rep.applicable:
         verdict = "inapplicable"
     elif not rep.hypothesis_met:
@@ -329,7 +332,7 @@ def cmd_perturb(args) -> tuple[dict, int]:
         },
         inside=rep.inside,
         total_v2=rep.total_v2,
-        sampled_min_margin=rep.sampled_min_margin,
+        min_margin=rep.min_margin,
     )
     return doc, _EXIT_BY_VERDICT[verdict]
 
@@ -348,7 +351,7 @@ def cmd_resolution(args) -> tuple[dict, int]:
             residual_tol=rep.tol,
         )
         return doc, _EXIT_BY_VERDICT[verdict]
-    rep = dual_resolution_bounds(family, seed=args.seed, tol_res=args.tol_res, tol_frame=args.tol_frame, tol_herm=args.tol_herm)
+    rep = dual_resolution_bounds(family, tol_res=args.tol_res, tol_frame=args.tol_frame, tol_herm=args.tol_herm)
     verdict = "pass" if (rep.resolution_ok and rep.sandwich_ok) else "fail"
     doc = _base_report(
         args,
@@ -356,9 +359,8 @@ def cmd_resolution(args) -> tuple[dict, int]:
         resolution_residual=rep.resolution_residual,
         resolution_ok=rep.resolution_ok,
         sandwich={"lower": rep.sandwich_lower, "upper": rep.sandwich_upper},
-        sampled={"min": rep.sampled_min, "max": rep.sampled_max},
+        form_range={"min": rep.form_min, "max": rep.form_max},
         sandwich_ok=rep.sandwich_ok,
-        samples=rep.samples,
     )
     return doc, _EXIT_BY_VERDICT[verdict]
 

@@ -25,14 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NotPositiveError, SingularOperatorError
-from .tolerances import (
-    DEFAULT_SEED,
-    DROP_TOL,
-    MAX_DIM,
-    TOL_ORTH,
-    TOL_PD,
-    TOL_SING_REL,
-)
+from .tolerances import DROP_TOL, MAX_DIM, TOL_ORTH, TOL_PD, TOL_SING_REL
 
 __all__ = [
     "SpectralSummary",
@@ -51,7 +44,6 @@ __all__ = [
     "orthonormal_columns",
     "overflowing_column",
     "projection",
-    "random_unit_vectors",
     "sigma_min",
     "spectral_summary",
     "transport_subspace",
@@ -143,9 +135,14 @@ def operator_norm(a: np.ndarray) -> float:
     return float(_lapack("norm", np.asarray(a), 2))
 
 
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """Descending singular values: the one SVD behind :func:`sigma_min`, :func:`inverse` and every singularity test."""
+    return _lapack("svd", np.asarray(a), compute_uv=False)
+
+
 def sigma_min(a: np.ndarray) -> float:
     """Smallest singular value."""
-    return float(_lapack("svd", np.asarray(a), compute_uv=False)[-1])
+    return float(_singular_values(a)[-1])
 
 
 def _require_square(a: np.ndarray) -> np.ndarray:
@@ -234,7 +231,11 @@ def spectral_summary(a: np.ndarray) -> SpectralSummary:
 def inverse(a: np.ndarray) -> np.ndarray:
     """Matrix inverse; a numerically singular ``a`` raises :class:`SingularOperatorError`."""
     a = _require_square(a)
-    s = _lapack("svd", a, compute_uv=False)
+    return _inverse(a, _singular_values(a))
+
+
+def _inverse(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """:func:`inverse` of the square ``a``, given its singular values ``s`` (so a caller that has them takes no second SVD)."""
     if _singular(s):
         raise SingularOperatorError(
             f"operator is numerically singular (sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e})"
@@ -369,7 +370,7 @@ def _nonsingular_operator(v, dim: int) -> np.ndarray:
     v = _require_square(as_operator(v))
     if v.shape[0] != dim:
         raise DimensionError("operator and subspace live in different dimensions")
-    if _singular(_lapack("svd", v, compute_uv=False)):
+    if _singular(_singular_values(v)):
         raise SingularOperatorError("cannot transport a subspace along a singular operator")
     return v
 
@@ -384,10 +385,3 @@ def transport_subspace(v: np.ndarray, s: Subspace) -> Subspace:
     v = _nonsingular_operator(v, s.ambient_dim)
     return Subspace(orthonormal_columns(v @ s.basis))
 
-
-def random_unit_vectors(n: int, count: int, seed: int | np.random.Generator = DEFAULT_SEED) -> np.ndarray:
-    """Columns drawn uniformly from the unit sphere of ``C^n``."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    z = rng.standard_normal((n, count))
-    z = np.asarray(z + 1j * rng.standard_normal((n, count)), dtype=np.complex128)
-    return z / _lapack("norm", z, axis=0, keepdims=True)

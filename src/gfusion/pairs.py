@@ -21,7 +21,7 @@ from .family import (
     _require_same_operator,
     _require_same_weights,
 )
-from .linalg import adjoint, inverse, is_positive, operator_norm, sigma_min
+from .linalg import _inverse, _singular_values, adjoint, is_positive, operator_norm
 from .tolerances import TOL_COMM, TOL_FACT, TOL_FRAME, TOL_HERM, TOL_RES, TOL_SLACK
 
 __all__ = [
@@ -135,10 +135,11 @@ def pair_bounded_below(
     family; both claims are checked numerically.
     """
     s = pair_frame_operator(pair)
-    smin = sigma_min(s)
+    sv = _singular_values(s)  # one SVD gives sigma_min and the singularity test of the inverse
+    smin = float(sv[-1])
     if smin <= tol:
         return PairBoundedBelowReport(False, smin, None, False, None, False)
-    k = inverse(s)
+    k = _inverse(s, sv)
     # The weighted atom terms K U P_Gi Gam_i* Lam_i P_Fi T sum to K times the pair operator.
     residual = operator_norm(k @ s - np.eye(pair.dim))
     certified = smin**2 / pair.gam_bounds.B_opt

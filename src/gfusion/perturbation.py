@@ -5,8 +5,7 @@ pair, the perturbation hypothesis bounds, atom by atom, the controlled form
 of the difference between the two atom cores: from below by zero and from
 above by a mix of both forms plus an absolute term.  The hypothesis is
 quantified over all vectors, which at desk scale is decided exactly as a
-pair of semidefinite orderings per atom; random sampling of the lower
-ordering is kept as a secondary diagnostic.  The one-constant check is the
+pair of semidefinite orderings per atom.  The one-constant check is the
 two-fraction check with both fractions zero, so both share one code path.
 
 Each per-atom term is the Hermitian part of ``(Y L)* (Y R)``, with ``Y``
@@ -21,6 +20,9 @@ term has the spectrum of its block plus ``n - m >= 1`` zeros
 eigenvalue; a zero clears the ``-TOL_PD`` slack and ``eps >= 0``, so the
 blocks' extreme eigenvalues decide both orderings exactly, on ``m x m``
 eigenproblems.  Otherwise the terms are the ``n x n`` matrices themselves.
+The report's ``min_margin`` comes from the same eigenvalues: the smallest
+eigenvalue of any atom's ``n x n`` difference, which on a block is
+``min(lambda_min, 0)``.
 A term (``n x n`` or block) that is not finite raises
 :class:`~gfusion.errors.ValidationError` naming the atom whose term it is.
 """
@@ -35,8 +37,8 @@ import numpy as np
 from .analysis import atom_factor, optimal_bounds
 from .errors import NotAFrameError, PairingError, ValidationError
 from .family import ControlledFamily, _require_same_operator, _require_same_weights, require_valid, total_v2
-from .linalg import _factor_range_basis, adjoint, hermitian_eigenvalues, hermitian_part, random_unit_vectors
-from .tolerances import DEFAULT_SEED, TOL_FRAME, TOL_HERM, TOL_PD, TOL_SLACK
+from .linalg import _factor_range_basis, adjoint, hermitian_eigenvalues, hermitian_part
+from .tolerances import TOL_FRAME, TOL_HERM, TOL_PD, TOL_SLACK
 
 __all__ = [
     "PerturbationParams",
@@ -78,9 +80,7 @@ class PerturbationReport:
     computed_lower: float | None
     computed_upper: float | None
     inside: bool
-    sampled_min_margin: float | None
-    samples: int
-    seed: int
+    min_margin: float | None
     total_v2: float
 
 
@@ -99,7 +99,8 @@ def _atom_terms(lam: ControlledFamily, gam: ControlledFamily):
     """Per atom: ``Q`` and the Hermitian reference, perturbed and difference terms on span ``Q``.
 
     ``Q`` is ``None`` when the terms are the ``n x n`` matrices themselves
-    (``2 m > n``, or a factor is not finite).  A term that is not finite
+    (``2 m > n``, or a factor is not finite); otherwise each full term also
+    has ``n - m >= 1`` zero eigenvalues.  A term that is not finite
     raises :class:`ValidationError` naming its atom.
     """
     left, right = lam.control_left, lam.control_right  # both families carry the control pair of lam
@@ -124,8 +125,6 @@ def perturb_check(
     lam: ControlledFamily,
     gam: ControlledFamily,
     params: PerturbationParams,
-    samples: int = 1000,
-    seed: int = DEFAULT_SEED,
     tol_frame: float = TOL_FRAME,
     tol_herm: float = TOL_HERM,
 ) -> PerturbationReport:
@@ -136,8 +135,9 @@ def perturb_check(
     lambda2 * (perturbed form) + eps * I``.  When the hypothesis holds and
     ``A (1 - lambda1) - eps * total_v2`` is positive, the perturbed family
     is certified as a frame on an explicit interval, which the computed
-    bounds must fall inside.  ``sampled_min_margin`` is the smallest sampled
-    value of the difference form plus ``TOL_PD``, over all atoms.  Both bounds
+    bounds must fall inside.  ``min_margin`` is the smallest eigenvalue of
+    the ``n x n`` differences over all atoms, plus ``TOL_PD``, when the
+    hypothesis holds (``None`` otherwise).  Both bounds
     verdicts, and the validation they make, use ``tol_frame`` and ``tol_herm``.
     """
     bounds = optimal_bounds(lam, tol_frame, tol_herm)
@@ -152,9 +152,8 @@ def perturb_check(
 
     hypothesis_met = True
     failing_atom = None
-    deltas = []
+    margin = math.inf
     for atom_id, q, ref, per, delta in _atom_terms(lam, gam):
-        deltas.append((q, delta))
         # On span Q the n - m zero eigenvalues outside it are left out: 0 clears
         # -TOL_PD, and eps >= 0, so the block's extreme eigenvalues decide each test.
         w = hermitian_eigenvalues(delta)
@@ -168,16 +167,8 @@ def perturb_check(
         if upper_margin < -TOL_PD:
             hypothesis_met, failing_atom = False, atom_id
             break
-
-    sampled_margin = None
-    if hypothesis_met and samples > 0:
-        f = random_unit_vectors(lam.dim, samples, seed)
-        margin = math.inf
-        for q, delta in deltas:
-            g = f if q is None else adjoint(q) @ f  # f* (Q delta Q*) f = g* delta g
-            h = np.sum(np.conj(g) * (delta @ g), axis=0).real
-            margin = min(margin, float(h.min()) + TOL_PD)
-        sampled_margin = margin
+        lowest = float(w[0])
+        margin = min(margin, lowest if q is None else min(lowest, 0.0))  # a block leaves out the zeros
 
     applicable = bool(bounds.A_opt * (1.0 - params.lambda1) - params.eps * tv2 > 0)
     certified = computed = (None, None)
@@ -202,9 +193,7 @@ def perturb_check(
         computed_lower=computed[0],
         computed_upper=computed[1],
         inside=inside,
-        sampled_min_margin=sampled_margin,
-        samples=samples,
-        seed=seed,
+        min_margin=margin + TOL_PD if hypothesis_met else None,
         total_v2=float(tv2),
     )
 
@@ -213,8 +202,6 @@ def perturb_check_simple(
     lam: ControlledFamily,
     gam: ControlledFamily,
     bound: float,
-    samples: int = 1000,
-    seed: int = DEFAULT_SEED,
 ) -> PerturbationReport:
     """One-constant perturbation check: :func:`perturb_check` with parameters ``(0, 0, bound)``.
 
@@ -226,4 +213,4 @@ def perturb_check_simple(
     """
     if not bound > 0:
         raise ValueError(f"the perturbation constant must be positive, got {bound}")
-    return perturb_check(lam, gam, PerturbationParams(0.0, 0.0, bound), samples, seed)
+    return perturb_check(lam, gam, PerturbationParams(0.0, 0.0, bound))

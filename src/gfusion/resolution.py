@@ -16,8 +16,8 @@ import numpy as np
 from .analysis import _frame_inverse, _require_commuting, atom_factor, atom_sum, optimal_bounds
 from .errors import DimensionError, HypothesisError
 from .family import ControlledFamily, _require_same_operator, replace_controls
-from .linalg import adjoint, as_operator, hermitian_eigenvalues, hermitian_part, inverse, operator_norm, random_unit_vectors
-from .tolerances import DEFAULT_SEED, TOL_COMM, TOL_FRAME, TOL_HERM, TOL_RES, TOL_SLACK
+from .linalg import adjoint, as_operator, hermitian_eigenvalues, hermitian_part, inverse, operator_norm
+from .tolerances import TOL_COMM, TOL_FRAME, TOL_HERM, TOL_RES, TOL_SLACK
 
 __all__ = [
     "CanonicalResolutions",
@@ -133,23 +133,19 @@ def canonical_resolutions(
 
 @dataclass(frozen=True)
 class DualResolutionReport:
-    """Resolution through the dual atoms and the exact verdict on its two-sided bound; ``sampled_*`` is a diagnostic."""
+    """Resolution through the dual atoms, and the exact range ``form_*`` of the dual form that decides its sandwich."""
 
     resolution_ok: bool
     resolution_residual: float
     sandwich_lower: float
     sandwich_upper: float
-    sampled_min: float
-    sampled_max: float
+    form_min: float
+    form_max: float
     sandwich_ok: bool
-    samples: int
-    seed: int
 
 
 def dual_resolution_bounds(
     family: ControlledFamily,
-    samples: int = 1000,
-    seed: int = DEFAULT_SEED,
     tol_res: float = TOL_RES,
     tol_frame: float = TOL_FRAME,
     tol_herm: float = TOL_HERM,
@@ -161,32 +157,25 @@ def dual_resolution_bounds(
     family ``weight_i v_i^2 L* P_i A_i* (A_i P_i S^-1) R`` must sum to the
     identity, and the form ``Re f* M f``, ``M = sum_i weight_i v_i^2 (A_i P_i S^-1 L)* (A_i P_i S^-1 R)``,
     must lie between ``A/B^2`` and ``B/A^2`` on the unit sphere: decided on the spectrum of ``H(M)``,
-    its exact range there.  ``samples`` values at random unit vectors are a diagnostic only.
+    whose extremes ``form_min`` and ``form_max`` are its exact range there.
     """
     report, s_inv = _frame_inverse(family, "dual bounds need a frame,", tol_frame, tol_herm)
     _require_commuting(s_inv, family, TOL_COMM, "inverse frame operator")
     sl, sr = s_inv @ family.control_left, s_inv @ family.control_right
     fam_ops, dual_form = _resolution_families(family, ((family.control_left, sr), (sl, sr)))
     res = is_resolution(fam_ops, tol_res)
-    m = dual_form.weighted_sum()
-    w = hermitian_eigenvalues(hermitian_part(m))
+    w = hermitian_eigenvalues(hermitian_part(dual_form.weighted_sum()))
     lower = report.A_opt / report.B_opt**2
     upper = report.B_opt / report.A_opt**2
     sandwich_ok = bool(w[0] >= lower - TOL_SLACK and w[-1] <= upper + TOL_SLACK)
-    f = random_unit_vectors(family.dim, samples, seed)
-    mf = m @ f
-    mf *= np.conj(f, out=f)  # Re f* (M f) per column, with no third samples-wide array
-    sampled = mf.sum(axis=0).real
     return DualResolutionReport(
         resolution_ok=res.holds,
         resolution_residual=res.residual,
         sandwich_lower=float(lower),
         sandwich_upper=float(upper),
-        sampled_min=float(sampled.min()),
-        sampled_max=float(sampled.max()),
+        form_min=float(w[0]),
+        form_max=float(w[-1]),
         sandwich_ok=sandwich_ok,
-        samples=samples,
-        seed=seed,
     )
 
 

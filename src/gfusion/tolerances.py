@@ -32,5 +32,4 @@ TOL_SLACK = 1e-9      # absolute slack of every certified-vs-computed bound or n
 TOL_FACT = 1e-9       # relative factorization residual of the controlled pair sum
 TOL_SWAP = 1e-10      # adjoint-swap residual of the pair operator, relative to max(1, its norm)
 
-DEFAULT_SEED = 1729   # fixed default seed for sampling diagnostics
 MAX_DIM = 512         # desk-scale cap for dense eigendecompositions

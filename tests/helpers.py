@@ -271,7 +271,8 @@ def oracle_perturbation(lam, gam, lambda1, lambda2, eps, tol=1e-10, slack=1e-9):
     ``n x n`` ``eigvalsh`` (of the difference, and of dominator minus
     difference); the first failing atom is reported.  Returns
     ``(hypothesis_met, failing_atom, applicable, certified interval or None,
-    inside)``.
+    inside, min_margin)``, where ``min_margin`` is the smallest eigenvalue of
+    the differences over all atoms when the hypothesis holds, else ``None``.
     """
     def herm(x):
         return (x + x.conj().T) / 2
@@ -280,30 +281,33 @@ def oracle_perturbation(lam, gam, lambda1, lambda2, eps, tol=1e-10, slack=1e-9):
         ev = np.linalg.eigvalsh(herm(oracle_frame_operator(family)))
         return ev[0], ev[-1]
 
-    met, failing = True, None
+    met, failing, margin = True, None, np.inf
     for a, b in zip(lam.atoms, gam.atoms):
         ref = herm(oracle_atom_term(lam, a))
         per = herm(oracle_atom_term(lam, b))
         d = per - ref
         dominator = lambda1 * ref + lambda2 * per + eps * np.eye(lam.dim)
-        if np.linalg.eigvalsh(d)[0] < -tol or np.linalg.eigvalsh(dominator - d)[0] < -tol:
+        lowest = np.linalg.eigvalsh(d)[0]
+        if lowest < -tol or np.linalg.eigvalsh(dominator - d)[0] < -tol:
             met, failing = False, a.id
             break
+        margin = min(margin, lowest)
+    margin = margin if met else None
     a_opt, b_opt = bounds(lam)
     tv2 = sum(a.weight * a.frame_weight**2 for a in lam.atoms)
     applicable = a_opt * (1 - lambda1) - eps * tv2 > 0
     if not (met and applicable):
-        return met, failing, applicable, None, False
+        return met, failing, applicable, None, False, margin
     lower = ((1 - lambda1) * a_opt - eps * tv2) / (1 + lambda2)
     upper = ((1 + lambda1) * b_opt + eps * tv2) / (1 - lambda2)
     a_gam, b_gam = bounds(gam)
     inside = a_gam > 1e-10 and lower <= a_gam + slack and b_gam <= upper + slack
-    return met, failing, applicable, (lower, upper), inside
+    return met, failing, applicable, (lower, upper), inside, margin
 
 
 def oracle_simple_perturbation(lam, gam, bound):
-    """The one-constant perturbation check: :func:`oracle_perturbation` with ``(0, 0, bound)``."""
-    return oracle_perturbation(lam, gam, 0.0, 0.0, bound)
+    """The verdict fields (all but ``min_margin``) of :func:`oracle_perturbation` with ``(0, 0, bound)``."""
+    return oracle_perturbation(lam, gam, 0.0, 0.0, bound)[:5]
 
 
 def oracle_dual_form(family):

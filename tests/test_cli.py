@@ -317,11 +317,51 @@ def test_resolution_dual_bounds(capsys, frame_file):
     assert rep["sandwich_ok"]
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["perturb", "FILE", "FILE", "--lambda1", "0", "--lambda2", "0", "--eps", "0"], "min_margin"),
+    (["resolution", "FILE", "dual-bounds"], "form_range"),
+])
+def test_reports_carry_exact_values_and_no_seed(capsys, frame_file, argv, key):
+    path, _ = frame_file
+    code, rep, _ = run_cli(capsys, *[path if x == "FILE" else x for x in argv])
+    assert code == 0
+    assert key in rep
+    assert not {"seed", "samples", "deterministic", "sampled", "sampled_min_margin"} & set(rep)
+
+
 def test_resolution_non_frame_is_error(capsys):
     code, _, err = run_cli(capsys, "resolution", "--builtin", "paper-example",
                            "--reading", "literal", "canonical-right")
     assert code == 1
     assert "frame" in err
+
+
+# ---------------------------------------------------------------- usage errors
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--builtin", "paper-example", "--bogus"],
+    ["bounds", "--builtin", "paper-example", "--tol-frame", "abc"],
+    ["bounds", "--builtin", "paper-example", "--seed", "7"],
+    ["resolution", "--builtin", "paper-example", "dual-bounds", "--deterministic"],
+    ["pair", "A.json", "B.json", "sideways"],
+    [],
+])
+def test_usage_error_exits_1_with_nothing_on_stdout(capsys, argv):
+    """A usage error is an error (exit 1), never the negative verdict's exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "gfusion" in out.err and "error:" in out.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["perturb", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 # ------------------------------------------------------------------ call counts

@@ -18,11 +18,11 @@ from gfusion import (
     operator_sqrt,
     orthonormal_columns,
     projection,
-    random_unit_vectors,
     spectral_summary,
     transport_subspace,
 )
 from gfusion.linalg import _factor_range_basis
+from helpers import unit_vectors
 
 
 def test_adjoint_identity():
@@ -175,7 +175,7 @@ def test_spectral_summary_brackets_rayleigh_quotients():
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     h = (m + m.conj().T) / 2
     s = spectral_summary(h)
-    f = random_unit_vectors(6, 10_000, seed=rng)
+    f = unit_vectors(rng, 6, 10_000)
     quot = np.sum(np.conj(f) * (h @ f), axis=0).real
     assert quot.min() >= s.lambda_min - 1e-9
     assert quot.max() <= s.lambda_max + 1e-9
@@ -254,5 +254,15 @@ def test_only_linalg_calls_numpy_linalg():
     offenders = [
         p.name for p in sorted(src.glob("*.py"))
         if p.name != "linalg.py" and re.search(r"np\.linalg\.|numpy\.linalg|from numpy import linalg", p.read_text())
+    ]
+    assert offenders == []
+
+
+def test_no_module_draws_random_numbers():
+    """Every printed value is computed, never sampled, so no module reaches a random generator."""
+    src = Path(__file__).resolve().parent.parent / "src" / "gfusion"
+    offenders = [
+        p.name for p in sorted(src.glob("*.py"))
+        if re.search(r"np\.random|default_rng|import random", p.read_text())
     ]
     assert offenders == []

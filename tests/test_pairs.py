@@ -17,8 +17,9 @@ from gfusion import (
     pair_bounded_below,
     pair_frame_operator,
     pair_sum_positivity,
+    sigma_min,
 )
-from helpers import diag_family, random_pair as _two_random_families, scale_local_ops
+from helpers import diag_family, lowrank_family, random_pair as _two_random_families, scale_local_ops
 
 
 def _equal_control_family(seed, **kw):
@@ -106,6 +107,23 @@ def test_bounded_below_detects_killed_direction():
     rep = pair_bounded_below(BesselPair(lam, gam))
     assert not rep.bounded_below
     assert rep.sigma_min < 1e-10
+
+
+def test_bounded_below_takes_one_svd_of_the_pair_operator(monkeypatch):
+    """``sigma_min`` and the singularity test of the inverse read the same singular values."""
+    fam = lowrank_family(1, 16)
+    pair = BesselPair(fam, canonical_dual(fam))
+    shapes, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    rep = pair_bounded_below(pair)
+    assert shapes == [(16, 16)]
+    assert rep.bounded_below and rep.resolution_ok
+    assert rep.sigma_min == sigma_min(pair_frame_operator(pair))
 
 
 # ------------------------------------------------------------ sum positivity

@@ -18,7 +18,6 @@ from gfusion import (
     perturb_check_simple,
     total_v2,
 )
-from gfusion.linalg import random_unit_vectors
 from gfusion.perturbation import _atom_terms
 from gfusion.tolerances import TOL_PD
 from helpers import (
@@ -291,12 +290,20 @@ def test_two_fraction_check_matches_oracle(seed, kind, control, size, grow, shri
         "lambda2": (0.0, c, 0.0),
         "mixed": (0.005, 0.005, eps),
     }[name]
-    met, failing, applicable, _, inside = oracle_perturbation(lam, gam, lambda1, lambda2, eps)
+    met, failing, applicable, _, inside, margin = oracle_perturbation(lam, gam, lambda1, lambda2, eps)
     rep = perturb_check(lam, gam, PerturbationParams(lambda1, lambda2, eps))
     assert rep.hypothesis_met == met
     assert rep.failing_atom == failing
     assert rep.applicable == applicable
     assert rep.inside == inside
+    assert (rep.min_margin is None) == (margin is None)
+    if margin is not None:
+        assert rep.min_margin == pytest.approx(margin + TOL_PD, rel=0, abs=1e-12 * _term_scale(lam, gam))
+
+
+def _term_scale(lam, gam):
+    """The largest norm of a per-atom term of either family, the scale of their rounding."""
+    return max(np.linalg.norm(oracle_atom_term(lam, x), 2) for x in (*lam.atoms, *gam.atoms))
 
 
 def test_blocks_carry_the_full_terms():
@@ -356,23 +363,35 @@ def test_rank_one_atoms_never_reach_an_n_by_n_eigenproblem(monkeypatch):
 def test_rank_deficient_stack_matches_oracle():
     """Scalar controls and ``Y_b = s Y_a``: the ``4 d`` stacked rows span only ``d`` dimensions.
 
-    The verdicts agree with the oracle, and the sampled margin, evaluated on
-    the blocks, agrees with the same samples taken of the ``n x n`` differences.
+    The verdicts agree with the oracle, and the margin, read on the blocks,
+    agrees with the smallest eigenvalue of the ``n x n`` differences.
     """
     lam = lowrank_family(5, 48, "scalar")
     gam = scale_local_ops(lam, 1.05)
     for params in [(0.2, 0.0, 0.0), (0.05, 0.0, 0.0), (0.0, 0.1, 0.0), (0.0, 0.0, 1.0)]:
-        met, failing, applicable, _, inside = oracle_perturbation(lam, gam, *params)
+        met, failing, applicable, _, inside, margin = oracle_perturbation(lam, gam, *params)
         rep = perturb_check(lam, gam, PerturbationParams(*params))
         assert (rep.hypothesis_met, rep.failing_atom, rep.applicable, rep.inside) == (met, failing, applicable, inside)
-    rep = perturb_check(lam, gam, PerturbationParams(0.2, 0.0, 0.0), samples=200, seed=3)
-    assert rep.hypothesis_met
-    f = random_unit_vectors(lam.dim, 200, 3)
-    full = min(
-        float(np.sum(np.conj(f) * (d @ f), axis=0).real.min())
-        for d in (oracle_atom_term(lam, b) - oracle_atom_term(lam, a) for a, b in zip(lam.atoms, gam.atoms))
-    )
-    assert rep.sampled_min_margin == pytest.approx(full + TOL_PD, rel=1e-9, abs=1e-15)
+        if params == (0.2, 0.0, 0.0):
+            assert rep.min_margin == pytest.approx(margin + TOL_PD, rel=0, abs=1e-12 * _term_scale(lam, gam))
+
+
+def test_min_margin_is_the_lowest_eigenvalue_of_the_differences():
+    """Full-rank atoms (``2 m > n``) grown by 1-3 %: each difference is positive definite.
+
+    So the margin is a positive number well above ``TOL_PD``, set by the
+    atom whose difference has the lowest eigenvalue, not a rounded zero.
+    """
+    rng = np.random.default_rng(4)
+    n = 4
+    atoms = tuple(MeasureAtom(f"a{i}", 1.0, 1.0, Subspace.full(n), rng.standard_normal((n + 1, n))) for i in range(3))
+    control = positive_control(rng, n)
+    lam = ControlledFamily(n, atoms, control, control)
+    gam = perturbed_family(lam, [1.03, 1.01, 1.02])
+    rep = perturb_check(lam, gam, PerturbationParams(0.05, 0.0, 0.0))
+    margin = oracle_perturbation(lam, gam, 0.05, 0.0, 0.0)[-1]
+    assert rep.hypothesis_met and margin > 1e3 * TOL_PD
+    assert rep.min_margin == pytest.approx(margin + TOL_PD, rel=1e-10)
 
 
 @pytest.mark.parametrize("overflow", ["block", "factor"])

@@ -105,8 +105,7 @@ def test_dual_resolution_bounds_parseval_collapses():
     fam = ControlledFamily(3, (atom,), np.eye(3), np.eye(3))
     rep = dual_resolution_bounds(fam)
     assert rep.resolution_ok and rep.sandwich_ok
-    assert rep.sampled_min == pytest.approx(1.0, abs=1e-9)
-    assert rep.sampled_max == pytest.approx(1.0, abs=1e-9)
+    assert (rep.form_min, rep.form_max) == (1.0, 1.0)
 
 
 def test_dual_resolution_bounds_random_diagonal():
@@ -183,4 +182,4 @@ def test_dual_form_sandwich_is_decided_on_the_spectrum_of_its_hermitian_part(mon
     np.testing.assert_allclose(w, np.linalg.eigvalsh(h), rtol=1e-10, atol=1e-10 * scale)
     assert rep.sandwich_ok == (w[0] >= rep.sandwich_lower - TOL_SLACK and w[-1] <= rep.sandwich_upper + TOL_SLACK)
     assert rep.sandwich_ok
-    assert w[0] - 1e-10 * scale <= rep.sampled_min <= rep.sampled_max <= w[-1] + 1e-10 * scale
+    assert (rep.form_min, rep.form_max) == (w[0], w[-1])
