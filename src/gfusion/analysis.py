@@ -312,8 +312,11 @@ def synthesis_matrix(family: ControlledFamily) -> np.ndarray:
 
 
 def _commutation_defect(a: np.ndarray, b: np.ndarray) -> float:
-    scale = max(1.0, operator_norm(a) * operator_norm(b))
-    return operator_norm(a @ b - b @ a) / scale
+    """``norm(ab - ba) / max(1, norm(a) norm(b))`` (0.0, with no SVD, if ``a`` and ``b`` commute exactly)."""
+    commutator = a @ b - b @ a
+    if not commutator.any():
+        return 0.0
+    return operator_norm(commutator) / max(1.0, operator_norm(a) * operator_norm(b))
 
 
 def transform_family(family: ControlledFamily, v: np.ndarray) -> ControlledFamily:

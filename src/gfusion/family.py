@@ -247,8 +247,11 @@ def _require_same_weights(first, second, attr: str = "weight") -> None:
 
 
 def _require_same_operator(a: np.ndarray, b: np.ndarray, message: str) -> None:
-    """Raise :class:`PairingError` unless ``norm(a - b) <= TOL_SAME * max(1, norm(a))``."""
-    defect = operator_norm(a - b)
+    """Raise :class:`PairingError` unless ``norm(a - b) <= TOL_SAME * max(1, norm(a))`` (no SVD if ``a == b``)."""
+    difference = a - b
+    if not difference.any():
+        return
+    defect = operator_norm(difference)
     if defect > TOL_SAME * max(1.0, operator_norm(a)):
         raise PairingError(f"{message} (defect {defect:.3e})")
 

@@ -7,23 +7,31 @@ A family document is a JSON tree::
       "controls": {"T": <matrix>, "U": <matrix>},
       "atoms": [
         {"id": "B1", "weight": 3.0, "v": 1.0,
-         "subspace": [<vector>, ...], "lambda": <matrix>}
+         "subspace": <matrix>, "lambda": <matrix>}
       ],
-      "m": [<number>, ...]          # optional multiplier symbol
+      "m": <matrix>                 # optional multiplier symbol, 1 x (number of atoms)
     }
 
-Complex entries are two-element arrays ``[re, im]``; an entry whose
-imaginary part is zero (of either sign) is written as its plain real part,
-and loads with imaginary part +0.0.  Emission uses the shortest decimal that
-round-trips the double, so ``parse(emit(family))`` reproduces every other
-stored value bit for bit.  Documents (and CLI reports) are written as one
-line of sorted-key JSON, so repeated runs give byte-identical text; any JSON
-layout is accepted on input.  Unknown keys, repeated atom ids and
-non-finite entries are rejected, with the path of the offending value.
+``subspace`` holds the basis vectors as rows.  Every matrix is written as
+one exact binary payload, ``{"shape": [r, c], "c128le": "<base64>"}``: the
+standard base64 (RFC 4648) of the row-major little-endian complex128 bytes,
+so ``parse(emit(family))`` reproduces every stored value bit for bit, signed
+zeros included.  ``dim``, ``id``, ``weight`` and ``v`` stay plain JSON
+numbers and strings.  Documents (and CLI reports) are written as one line of
+sorted-key JSON, so repeated runs give byte-identical text.
+
+On input each matrix may also be hand-written in decimal: rows of numbers,
+complex entries as two-element arrays ``[re, im]`` (``m`` as a flat array of
+such scalars); an entry written as a plain number loads with imaginary part
++0.0.  Any JSON layout is accepted.  Unknown keys, repeated atom ids, bad
+payloads and non-finite entries are rejected, with the path of the offending
+value.
 """
 
 from __future__ import annotations
 
+import base64
+import cmath
 import json
 from pathlib import Path
 
@@ -32,6 +40,7 @@ import numpy as np
 from .errors import DimensionError, FamilyDocumentError
 from .family import ControlledFamily, MeasureAtom, MultiplierSymbol
 from .linalg import Subspace, orthonormal_columns, overflowing_column
+from .tolerances import MAX_DIM
 
 __all__ = [
     "canonical_json",
@@ -43,6 +52,7 @@ __all__ = [
 
 
 _NUMBER = {int, float}  # exact types, so a boolean (a subclass of int) is no number
+_BINARY_KEYS = {"shape", "c128le"}
 
 
 def _parse_scalar(value, where: str) -> complex:
@@ -58,9 +68,34 @@ def _parse_scalar(value, where: str) -> complex:
     raise FamilyDocumentError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
 
+def _decode_matrix(value: dict, where: str, rows: str = "rows", width: int | None = None,
+                   limit: int = MAX_DIM) -> np.ndarray:
+    """A binary matrix ``{"shape": [r, c], "c128le": ...}``, checked before anything is decoded."""
+    if value.keys() != _BINARY_KEYS:
+        raise FamilyDocumentError(f"{where}: a binary matrix has exactly the keys 'c128le' and 'shape'")
+    shape = value["shape"]
+    if type(shape) is not list or len(shape) != 2 or not all(type(k) is int and 1 <= k <= limit for k in shape):
+        raise FamilyDocumentError(f"{where}: shape must be two integers between 1 and {limit}, got {shape!r}")
+    try:
+        raw = base64.b64decode(value["c128le"], validate=True)
+    except (TypeError, ValueError):  # not a string, not ASCII, or not base64
+        raise FamilyDocumentError(f"{where}: c128le must be base64 text") from None
+    r, c = shape
+    if len(raw) != 16 * r * c:
+        raise FamilyDocumentError(f"{where}: c128le holds {len(raw)} bytes, shape {shape} needs {16 * r * c}")
+    m = np.frombuffer(raw, dtype="<c16").astype(np.complex128).reshape(r, c)
+    if not np.isfinite(m).all():
+        raise FamilyDocumentError(f"{where}: entries must be finite")
+    if width is not None and c != width:
+        raise FamilyDocumentError(f"{where}: {rows} must have length {width}")
+    return m
+
+
 def _parse_matrix(value, where: str, rows: str = "rows", width: int | None = None) -> np.ndarray:
-    """Rows of scalars as one finite complex matrix; every row has length ``width``
-    (default: the length of the first row)."""
+    """One finite complex matrix: a binary payload, or decimal rows of scalars; every row
+    has length ``width`` (default: the length of the first row)."""
+    if type(value) is dict:
+        return _decode_matrix(value, where, rows, width)
     if type(value) is not list or not value:
         raise FamilyDocumentError(f"{where}: expected a nonempty array of {rows}")
     re, im = [], []
@@ -97,13 +132,10 @@ def _parse_matrix(value, where: str, rows: str = "rows", width: int | None = Non
     return m.reshape(len(value), expected)
 
 
-def _emit_matrix(m: np.ndarray) -> list:
-    """Rows of shortest round-trip floats; an entry with imaginary part 0.0 is written plain."""
-    m = np.asarray(m)
-    return [
-        [x if y == 0.0 else [x, y] for x, y in zip(row_re, row_im)]
-        for row_re, row_im in zip(m.real.tolist(), m.imag.tolist())
-    ]
+def _emit_matrix(m: np.ndarray) -> dict:
+    """A matrix as its exact binary payload: shape and base64 of the row-major little-endian complex128 bytes."""
+    m = np.ascontiguousarray(m, dtype="<c16")
+    return {"shape": list(m.shape), "c128le": base64.b64encode(m.tobytes()).decode("ascii")}
 
 
 def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
@@ -120,6 +152,20 @@ def _parse_subspace(value, dim: int, where: str) -> Subspace:
         return Subspace(cols)  # already orthonormal: keep the stored values
     except DimensionError:
         return Subspace(orthonormal_columns(cols))
+
+
+def _parse_symbol(value, count: int) -> list[complex]:
+    """The ``m`` values: a binary ``1 x count`` matrix, or a flat decimal array."""
+    if type(value) is dict:
+        values = _decode_matrix(value, "m", limit=max(MAX_DIM, count))
+        if values.shape == (1, count):
+            return values[0].tolist()
+    elif type(value) is list and len(value) == count:
+        values = [_parse_scalar(x, f"m[{i}]") for i, x in enumerate(value)]
+        if not all(cmath.isfinite(x) for x in values):
+            raise FamilyDocumentError("m: entries must be finite")
+        return values
+    raise FamilyDocumentError("m must be an array with one value per atom")
 
 
 def document_to_family(doc: dict) -> tuple[ControlledFamily, MultiplierSymbol | None]:
@@ -185,12 +231,7 @@ def document_to_family(doc: dict) -> tuple[ControlledFamily, MultiplierSymbol | 
         raise FamilyDocumentError(str(exc)) from exc
     symbol = None
     if "m" in doc:
-        values = doc["m"]
-        if not isinstance(values, list) or len(values) != len(atoms):
-            raise FamilyDocumentError("m must be an array with one value per atom")
-        symbol = MultiplierSymbol(
-            tuple(_parse_scalar(x, f"m[{i}]") for i, x in enumerate(values))
-        )
+        symbol = MultiplierSymbol(tuple(_parse_symbol(doc["m"], len(atoms))))
     return family, symbol
 
 
@@ -214,7 +255,7 @@ def family_to_document(family: ControlledFamily, m: MultiplierSymbol | None = No
         ],
     }
     if m is not None:
-        doc["m"] = _emit_matrix([m.values])[0]
+        doc["m"] = _emit_matrix([m.values])
     return doc
 
 

@@ -7,6 +7,8 @@ are used to check.
 
 from __future__ import annotations
 
+import base64
+
 import numpy as np
 
 from gfusion import ControlledFamily, MeasureAtom, Subspace, optimal_bounds
@@ -132,6 +134,37 @@ def scale_local_ops(family, factor):
         for a in family.atoms
     )
     return ControlledFamily(family.dim, atoms, family.control_left, family.control_right)
+
+
+def c128le(a) -> str:
+    """The ``c128le`` text of a binary matrix payload: base64 of ``a``'s row-major little-endian complex128 bytes."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<c16").tobytes()).decode("ascii")
+
+
+def _decimal_rows(a):
+    a = np.asarray(a)
+    return [
+        [x if y == 0.0 else [x, y] for x, y in zip(row_re, row_im)]
+        for row_re, row_im in zip(a.real.tolist(), a.imag.tolist())
+    ]
+
+
+def decimal_document(family, m=None):
+    """``family`` (and symbol ``m``) as a hand-written document: every matrix as decimal rows of
+    shortest round-trip floats, an entry with imaginary part 0.0 (of either sign) as its plain real
+    part and any other as an ``[re, im]`` pair."""
+    doc = {
+        "dim": int(family.dim),
+        "controls": {"T": _decimal_rows(family.control_left), "U": _decimal_rows(family.control_right)},
+        "atoms": [
+            {"id": a.id, "weight": float(a.weight), "v": float(a.frame_weight),
+             "subspace": _decimal_rows(a.subspace.basis.T), "lambda": _decimal_rows(a.local_op)}
+            for a in family.atoms
+        ],
+    }
+    if m is not None:
+        doc["m"] = _decimal_rows([m.values])[0]
+    return doc
 
 
 def unit_vectors(rng, n, count):

@@ -449,3 +449,20 @@ def test_canonical_dual_makes_one_n_by_n_svd_and_no_vdot(monkeypatch):
     assert shapes.count((12, 12)) == 1
     assert sorted(set(shapes) - {(12, 12)}) == sorted({(12, a.subspace.dim) for a in fam.atoms})
     assert vdots == []
+
+
+def test_exact_commutation_takes_no_norm(monkeypatch):
+    """A commutator with no nonzero entry is 0.0 before any SVD; others keep the SVD value."""
+    from gfusion.analysis import _commutation_defect
+
+    s = frame_operator(generic_family(3))
+    n = s.shape[0]
+    skew = np.diag(np.arange(1.0, n + 1)) + np.eye(n, k=1)
+    expected = operator_norm(skew @ s - s @ skew) / max(1.0, operator_norm(skew) * operator_norm(s))
+    calls = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
+    assert _commutation_defect(1.5 * np.eye(n), s) == 0.0
+    assert calls == []
+    defect = _commutation_defect(skew, s)
+    assert defect > 0 and np.float64(defect).tobytes() == np.float64(expected).tobytes()

@@ -1,11 +1,13 @@
 """A bad family document ends in one error line that names its entry or atom.
 
 Each example breaks one part of the ``paper-example`` document (bounds 1
-and 4) and runs ``bounds`` and ``perturb`` on it in-process, with every
-warning turned into an error: a traceback, a numpy warning, a verdict or a
-second line on stderr fails the example.
+and 4), hand-written in decimal or as saved with binary matrices, and runs
+``bounds`` and ``perturb`` on it in-process, with every warning turned into
+an error: a traceback, a numpy warning, a verdict or a second line on stderr
+fails the example.
 """
 
+import base64
 import contextlib
 import copy
 import io
@@ -14,15 +16,19 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfusion import ball_partition_example, family_to_document
+from gfusion import MultiplierSymbol, ball_partition_example, family_to_document
 from gfusion.cli import main
+from gfusion.tolerances import MAX_DIM
+from helpers import c128le, decimal_document
 
-BASE = family_to_document(ball_partition_example(3, 2, 1.5))  # atom i spans e_i
+BASE = decimal_document(ball_partition_example(3, 2, 1.5))  # atom i spans e_i; hand-written decimal
 N = BASE["dim"]
 ATOMS = range(len(BASE["atoms"]))
+BINARY = family_to_document(ball_partition_example(3, 2, 1.5), MultiplierSymbol.constant(1.0, len(ATOMS)))
 CONTROL_NAMES = {"T": "left control", "U": "right control"}
 
 
@@ -115,8 +121,44 @@ def _duplicate_id(draw):
     return doc, f"atoms[{j}]: duplicate id 'B{i + 1}' (first at atoms[{i}])"
 
 
+@st.composite
+def _bad_binary(draw):
+    """One broken matrix payload of the binary document; the error names the matrix."""
+    path = draw(st.sampled_from([("controls", "T"), ("controls", "U"), ("m",)]
+                                + [("atoms", i, key) for i in ATOMS for key in ("subspace", "lambda")]))
+    doc = copy.deepcopy(BINARY)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    matrix = node[path[-1]]
+    r, c = matrix["shape"]
+    raw = base64.b64decode(matrix["c128le"])
+    kind = draw(st.sampled_from(["character", "short", "shape", "key", "non-finite"]
+                                + (["width"] if path[-1] == "subspace" else [])))
+    if kind == "character":  # outside the standard base64 alphabet
+        text = matrix["c128le"]
+        k = draw(st.integers(0, len(text) - 1))
+        matrix["c128le"] = text[:k] + draw(st.sampled_from("!*-_ .#\n")) + text[k + 1:]
+    elif kind == "short":
+        matrix["c128le"] = base64.b64encode(raw[:-1]).decode("ascii")
+    elif kind == "shape":
+        matrix["shape"] = draw(st.sampled_from([[0, c], [r], [True, c], [r, MAX_DIM + 1]]))
+    elif kind == "key":
+        matrix[draw(st.sampled_from(["dtype", "note", "Shape"]))] = draw(st.sampled_from([0, "c16", [r, c]]))
+    elif kind == "non-finite":
+        values = np.frombuffer(raw, dtype="<c16").copy()
+        bad = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+        values[draw(st.integers(0, values.size - 1))] += bad * draw(st.sampled_from([1, 1j]))
+        matrix["c128le"] = c128le(values)
+    else:  # a basis vector whose length is not dim
+        width = draw(st.sampled_from([w for w in range(1, N + 2) if w != N]))
+        matrix.update(shape=[r, width], c128le=c128le(np.ones(r * width)))
+    name = "m" if path == ("m",) else _matrix_name(path)
+    return doc, f"error: {name}: "
+
+
 _documents = (
-    (_non_finite() | _huge_int() | _huge_float()).map(_apply) | _row_length() | _duplicate_id()
+    (_non_finite() | _huge_int() | _huge_float()).map(_apply) | _row_length() | _duplicate_id() | _bad_binary()
 )
 
 

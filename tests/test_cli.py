@@ -10,12 +10,12 @@ from gfusion import (
     MultiplierSymbol,
     ball_partition_example,
     canonical_dual,
-    family_to_document,
+    canonical_json,
     frame_operator,
     save_family,
 )
 from gfusion.cli import main
-from helpers import diag_family, scale_local_ops
+from helpers import decimal_document, diag_family, scale_local_ops
 
 
 def run_cli(capsys, *argv):
@@ -80,7 +80,7 @@ def test_bounds_parse_error_names_key(capsys, tmp_path):
     (("atoms", 1, "subspace"), "atoms[1].subspace"),
 ])
 def test_non_finite_entry_is_one_error_line_naming_its_matrix(capsys, tmp_path, path, named):
-    doc = family_to_document(ball_partition_example(3, 2, 1.5))
+    doc = decimal_document(ball_partition_example(3, 2, 1.5))
     node = doc
     for key in path:
         node = node[key]
@@ -102,7 +102,7 @@ def test_non_finite_entry_is_one_error_line_naming_its_matrix(capsys, tmp_path, 
     pytest.param(2, ("lambda", 2, 2), 1e200, "atom 'B3'", id="frame-operator-overflows"),
 ])
 def test_out_of_range_number_is_one_error_line_naming_its_entry(capsys, tmp_path, atom, key, value, named):
-    doc = family_to_document(ball_partition_example(3, 2, 1.5))
+    doc = decimal_document(ball_partition_example(3, 2, 1.5))
     node = doc["atoms"][atom]
     if key == ("weight",):
         node["v"] = 10
@@ -135,6 +135,7 @@ def test_dual_builtin(capsys, tmp_path):
     assert rep["inverse_equality_residual"] < 1e-12
     emitted = json.loads(out_path.read_text())
     assert emitted == rep["dual_family"]
+    assert out_path.read_bytes() == canonical_json(rep["dual_family"]).encode()
 
 
 def test_dual_parseval_family_is_fixed_point(capsys, tmp_path):
@@ -287,7 +288,7 @@ def test_perturb_out_of_range_flag_is_one_error_line(capsys, tmp_path, flags, na
 def test_perturb_non_finite_perturbed_term_is_one_error_line(capsys, tmp_path, flags):
     reference = tmp_path / "P.json"
     save_family(reference, ball_partition_example(3, 2, 1.5))
-    doc = family_to_document(ball_partition_example(3, 2, 1.5))
+    doc = decimal_document(ball_partition_example(3, 2, 1.5))
     doc["atoms"][0]["lambda"][0][0] = 1e200  # its term overflows; the reference's frame operator is finite
     perturbed = tmp_path / "B.json"
     perturbed.write_text(json.dumps(doc))

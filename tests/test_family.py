@@ -155,3 +155,19 @@ def test_validate_and_inverse_share_one_singularity_test(control, invertible):
         assert validate(fam).failures == ("left control is not invertible", "right control is not invertible")
         with pytest.raises(SingularOperatorError):
             inverse(control)
+
+
+def test_same_operator_takes_no_norm(monkeypatch):
+    """Equal operators pass with no SVD; a difference still raises with the SVD defect."""
+    from gfusion import PairingError
+    from gfusion.family import _require_same_operator
+
+    c = frame_operator(ball_partition_example(3.0, 2.0, 1.5))
+    calls = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
+    _require_same_operator(c, c.copy(), "controls differ")
+    assert calls == []
+    with pytest.raises(PairingError, match=r"^controls differ \(defect 1\.000e-06\)$"):
+        _require_same_operator(c, c + 1e-6 * np.eye(3), "controls differ")
+    assert len(calls) == 2

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -18,7 +19,8 @@ from gfusion import (
     load_family,
     save_family,
 )
-from helpers import diag_family, generic_family
+from gfusion.tolerances import MAX_DIM
+from helpers import c128le, decimal_document, diag_family, generic_family
 
 
 def test_roundtrip_is_bit_identical():
@@ -55,15 +57,46 @@ def test_file_roundtrip(tmp_path):
 
 def test_complex_entries_encoded_as_pairs():
     fam = generic_family(4)
-    doc = family_to_document(fam)
+    doc = decimal_document(fam)
     entry = doc["atoms"][0]["lambda"][0][0]
     assert isinstance(entry, list) and len(entry) == 2
+    back, _ = document_to_family(doc)
+    assert back.atoms[0].local_op[0, 0] == complex(*entry)
+    assert back.atoms[0].local_op.tobytes() == fam.atoms[0].local_op.tobytes()
 
 
 def test_real_entries_stay_plain():
-    doc = family_to_document(ball_partition_example(3.0, 2.0, 1.5))
+    doc = decimal_document(ball_partition_example(3.0, 2.0, 1.5))
     assert isinstance(doc["controls"]["T"][0][0], float)
     assert isinstance(doc["atoms"][0]["weight"], float)
+    back, _ = document_to_family(doc)
+    t = back.control_left
+    assert t[0, 0] == complex(doc["controls"]["T"][0][0], 0.0)
+    assert not np.signbit(t.imag).any()
+
+
+def test_every_saved_matrix_is_one_binary_payload(tmp_path):
+    fam = generic_family(7)
+    path = tmp_path / "fam.json"
+    save_family(path, fam, MultiplierSymbol.constant(1.0 - 0.5j, len(fam.atoms)))
+    doc = json.loads(path.read_text())
+    matrices = [doc["controls"]["T"], doc["controls"]["U"], doc["m"]]
+    matrices += [atom[key] for atom in doc["atoms"] for key in ("subspace", "lambda")]
+    for matrix in matrices:
+        assert set(matrix) == {"shape", "c128le"}
+        r, c = matrix["shape"]
+        assert len(base64.b64decode(matrix["c128le"], validate=True)) == 16 * r * c
+    assert doc["m"]["shape"] == [1, len(fam.atoms)]
+    assert all(type(atom[key]) is float for atom in doc["atoms"] for key in ("weight", "v"))
+
+
+def test_decimal_controls_with_binary_atoms_load_to_the_same_bits():
+    fam = generic_family(8)
+    binary = json.loads(canonical_json(family_to_document(fam)))
+    mixed = json.loads(canonical_json(family_to_document(fam)))
+    mixed["controls"] = decimal_document(fam)["controls"]
+    _assert_same_bits(fam, None, *document_to_family(mixed), stored=_exact)
+    _assert_same_bits(fam, None, *document_to_family(binary), stored=_exact)
 
 
 def test_unknown_keys_rejected_everywhere():
@@ -107,11 +140,11 @@ def test_non_orthonormal_subspace_is_orthonormalized():
 
 
 def test_rejects_bad_scalars():
-    doc = family_to_document(ball_partition_example(3.0, 2.0, 1.5))
+    doc = decimal_document(ball_partition_example(3.0, 2.0, 1.5))
     doc["atoms"][0]["weight"] = "heavy"
     with pytest.raises(FamilyDocumentError):
         document_to_family(doc)
-    doc2 = family_to_document(ball_partition_example(3.0, 2.0, 1.5))
+    doc2 = decimal_document(ball_partition_example(3.0, 2.0, 1.5))
     doc2["atoms"][0]["lambda"][0][0] = True
     with pytest.raises(FamilyDocumentError):
         document_to_family(doc2)
@@ -142,9 +175,10 @@ def test_rejects_bad_scalars():
      "controls.T: expected a nonempty array of rows"),
     (lambda d: d["atoms"][0].__setitem__("weight", "heavy"),
      "atoms[0].weight: expected a number or [re, im] pair, got 'heavy'"),
+    (lambda d: d.__setitem__("m", [1.0, [0.0, float("nan")], 1.0]), "m: entries must be finite"),
 ])
 def test_rejects_bad_scalars_naming_the_entry(mutate, message):
-    doc = json.loads(canonical_json(family_to_document(ball_partition_example(3.0, 2.0, 1.5))))
+    doc = json.loads(canonical_json(decimal_document(ball_partition_example(3.0, 2.0, 1.5))))
     mutate(doc)
     with pytest.raises(FamilyDocumentError) as info:
         document_to_family(doc)
@@ -158,7 +192,7 @@ def test_rejects_bad_scalars_naming_the_entry(mutate, message):
     (("atoms", 2, "subspace"), "atoms[2].subspace: entries must be finite"),
 ])
 def test_non_finite_entry_names_its_matrix(path, message):
-    doc = family_to_document(ball_partition_example(3.0, 2.0, 1.5))
+    doc = decimal_document(ball_partition_example(3.0, 2.0, 1.5))
     node = doc
     for key in path:
         node = node[key]
@@ -167,6 +201,52 @@ def test_non_finite_entry_names_its_matrix(path, message):
         with pytest.raises(FamilyDocumentError) as info:
             document_to_family(json.loads(json.dumps(doc)))
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("path, replacement, message", [
+    (("controls", "T"), {"shape": [3, 3], "c128le": c128le(np.eye(3)), "note": 1},
+     "controls.T: a binary matrix has exactly the keys 'c128le' and 'shape'"),
+    (("controls", "U"), {"shape": [3, 3]}, "controls.U: a binary matrix has exactly the keys 'c128le' and 'shape'"),
+    (("atoms", 0, "lambda"), {"shape": [0, 3], "c128le": ""},
+     f"atoms[0].lambda: shape must be two integers between 1 and {MAX_DIM}, got [0, 3]"),
+    (("atoms", 0, "lambda"), {"shape": [9], "c128le": c128le(np.eye(3))},
+     f"atoms[0].lambda: shape must be two integers between 1 and {MAX_DIM}, got [9]"),
+    (("atoms", 1, "lambda"), {"shape": [True, 3], "c128le": c128le(np.ones(3))},
+     f"atoms[1].lambda: shape must be two integers between 1 and {MAX_DIM}, got [True, 3]"),
+    (("atoms", 1, "lambda"), {"shape": [1, MAX_DIM + 1], "c128le": c128le(np.ones(MAX_DIM + 1))},
+     f"atoms[1].lambda: shape must be two integers between 1 and {MAX_DIM}, got [1, {MAX_DIM + 1}]"),
+    (("atoms", 2, "lambda"), {"shape": [1, 3], "c128le": c128le(np.ones(3))[:-4] + "!!!="},
+     "atoms[2].lambda: c128le must be base64 text"),
+    (("atoms", 2, "lambda"), {"shape": [1, 3], "c128le": 7}, "atoms[2].lambda: c128le must be base64 text"),
+    (("atoms", 2, "lambda"), {"shape": [1, 3], "c128le": base64.b64encode(bytes(47)).decode()},
+     "atoms[2].lambda: c128le holds 47 bytes, shape [1, 3] needs 48"),
+    (("atoms", 0, "subspace"), {"shape": [1, 3], "c128le": c128le([np.nan, 0, 0])},
+     "atoms[0].subspace: entries must be finite"),
+    (("atoms", 0, "subspace"), {"shape": [1, 2], "c128le": c128le([1, 0])},
+     "atoms[0].subspace: basis vectors must have length 3"),
+    (("m",), {"shape": [1, 2], "c128le": c128le([1, 1])}, "m must be an array with one value per atom"),
+    (("m",), {"shape": [1, 3], "c128le": c128le([1, 1j * np.inf, 1])}, "m: entries must be finite"),
+])
+def test_binary_matrix_rejections_name_the_matrix(path, replacement, message):
+    doc = json.loads(canonical_json(family_to_document(ball_partition_example(3.0, 2.0, 1.5),
+                                                       MultiplierSymbol.constant(1.0, 3))))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = replacement
+    with pytest.raises(FamilyDocumentError) as info:
+        document_to_family(doc)
+    assert str(info.value) == message
+
+
+def test_symbol_of_more_atoms_than_max_dim_round_trips():
+    count = MAX_DIM + 2
+    line = Subspace(np.eye(1))
+    atoms = tuple(MeasureAtom(f"a{i}", 1.0, 1.0, line, np.eye(1)) for i in range(count))
+    fam = ControlledFamily(1, atoms, np.eye(1), np.eye(1))
+    m = MultiplierSymbol(tuple(complex(i, -0.0) for i in range(count)))
+    back, back_m = document_to_family(json.loads(canonical_json(family_to_document(fam, m))))
+    assert np.array(back_m.values).tobytes() == np.array(m.values).tobytes()
 
 
 def test_duplicate_atom_ids_rejected():
@@ -240,18 +320,23 @@ def _written(a):
     return out
 
 
-def _assert_same_bits(fam, m, back, back_m):
+def _exact(a):
+    return np.asarray(a, dtype=np.complex128)
+
+
+def _assert_same_bits(fam, m, back, back_m, stored):
+    """``back`` holds the bits of ``stored(x)`` for every array ``x`` of ``fam`` and ``m``."""
     def arrays(f):
         return [f.control_left, f.control_right] + [x for a in f.atoms for x in (a.local_op, a.subspace.basis)]
     assert back.dim == fam.dim
     for a, b in zip(arrays(fam), arrays(back), strict=True):
-        assert a.shape == b.shape and _written(a).tobytes() == np.ascontiguousarray(b).tobytes()
+        assert a.shape == b.shape and np.ascontiguousarray(stored(a)).tobytes() == np.ascontiguousarray(b).tobytes()
     for a, b in zip(fam.atoms, back.atoms, strict=True):
         assert (a.id, a.weight, a.frame_weight) == (b.id, b.weight, b.frame_weight)
     if m is None:
         assert back_m is None
     else:
-        assert _written(m.values).tobytes() == np.array(back_m.values).tobytes()
+        assert stored(m.values).tobytes() == np.array(back_m.values).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -261,7 +346,7 @@ def test_emit_parse_roundtrip_properties(drawn):
     doc = family_to_document(fam, m)
     text = canonical_json(doc)
     back, back_m = document_to_family(json.loads(text))
-    _assert_same_bits(fam, m, back, back_m)
+    _assert_same_bits(fam, m, back, back_m, stored=_exact)  # every bit, -0.0 imaginary parts included
     assert canonical_json(family_to_document(back, back_m)) == text
-    legacy = json.dumps(doc, sort_keys=True, indent=2)  # the layout of earlier releases
-    _assert_same_bits(fam, m, *document_to_family(json.loads(legacy)))
+    legacy = json.dumps(decimal_document(fam, m), sort_keys=True, indent=2)  # the layout of earlier releases
+    _assert_same_bits(fam, m, *document_to_family(json.loads(legacy)), stored=_written)
