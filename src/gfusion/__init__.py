@@ -47,7 +47,6 @@ from .family import (
     MultiplierSymbol,
     PlainFamily,
     ball_partition_example,
-    integrate,
     replace_controls,
     require_valid,
     strip_controls,
@@ -60,26 +59,24 @@ from .linalg import (
     adjoint,
     herm_defect,
     hermitian_part,
-    inner,
     inverse,
     is_positive,
     operator_norm,
     operator_sqrt,
     orthonormal_columns,
-    projection,
-    sigma_min,
     spectral_summary,
-    transport_subspace,
 )
 from .pairs import (
     BesselPair,
     MultiplierReport,
     PairBoundedBelowReport,
+    PairOperatorReport,
     PairSumReport,
     multiplier,
     multiplier_frame_criterion,
     pair_bounded_below,
     pair_frame_operator,
+    pair_operator_check,
     pair_sum_positivity,
 )
 from .perturbation import (

@@ -2,9 +2,10 @@
 
 Loads family documents, dispatches analyses, and prints one machine-readable
 JSON report per invocation to standard output (diagnostics go to standard
-error).  Exit status: 0 for an affirmative verdict, 2 for a negative one,
-1 for errors (a usage error too) and inapplicable checks; the three are
-never conflated.
+error).  Each verdict is the ``verdict`` of the library report a command
+prints; this module only maps it to the exit status: 0 for an affirmative
+verdict, 2 for a negative one, 1 for errors (a usage error too) and
+inapplicable checks; the three are never conflated.
 
 Reports embed the tolerances used, and repeated runs with the same inputs
 and flags produce byte-identical output.  No command draws a random number.
@@ -14,27 +15,24 @@ from __future__ import annotations
 
 import argparse
 import sys
-
-import numpy as np
+from dataclasses import asdict
 
 from . import __version__
 from .analysis import _bounds_of, _canonical_dual, frame_operator, optimal_bounds
 from .errors import GFusionError
 from .family import ControlledFamily, MultiplierSymbol, ball_partition_example
-from .linalg import adjoint, operator_norm
+from .linalg import operator_norm
 from .pairs import (
     BesselPair,
-    _pair_operator,
-    multiplier,
     multiplier_frame_criterion,
     pair_bounded_below,
-    pair_frame_operator,
+    pair_operator_check,
     pair_sum_positivity,
 )
 from .perturbation import PerturbationParams, perturb_check
 from .resolution import canonical_resolutions, dual_resolution_bounds, is_resolution
 from .serialization import _write_document, canonical_json, family_to_document, load_family
-from .tolerances import TOL_COMM, TOL_FRAME, TOL_HERM, TOL_RES, TOL_SLACK, TOL_SWAP
+from .tolerances import TOL_COMM, TOL_FRAME, TOL_HERM, TOL_RES
 
 BUILTIN_NAMES = ("paper-example",)
 
@@ -163,14 +161,13 @@ def _frame_fields(report) -> dict:
     }
 
 
-def cmd_bounds(args) -> tuple[dict, int]:
+def cmd_bounds(args) -> dict:
     family, _ = _load_single(args)
     report = optimal_bounds(family, tol_frame=args.tol_frame, tol_herm=args.tol_herm)
-    doc = _base_report(args, **_frame_fields(report))
-    return doc, _EXIT_BY_VERDICT[report.verdict]
+    return _base_report(args, **_frame_fields(report))
 
 
-def cmd_dual(args) -> tuple[dict, int]:
+def cmd_dual(args) -> dict:
     family, _ = _load_single(args)
     dual, s_inv = _canonical_dual(family, TOL_COMM, args.tol_frame, args.tol_herm)
     s_dual = frame_operator(dual, tol_herm=args.tol_herm)
@@ -179,71 +176,27 @@ def cmd_dual(args) -> tuple[dict, int]:
     dual_doc = family_to_document(dual)
     if args.out is not None:
         _write_document(args.out, dual_doc)
-    doc = _base_report(
+    return _base_report(
         args,
         **_frame_fields(dual_report),
         inverse_equality_residual=float(residual),
         dual_family=dual_doc,
     )
-    return doc, _EXIT_BY_VERDICT[dual_report.verdict]
 
 
-def cmd_pair(args) -> tuple[dict, int]:
+def cmd_pair(args) -> dict:
     fam_a, _, fam_b, _ = _load_pair(args)
     pair = BesselPair(fam_a, fam_b, tol_frame=args.tol_frame, tol_herm=args.tol_herm)
-    sqrt_bd = float(np.sqrt(pair.lam_bounds.B_opt * pair.gam_bounds.B_opt))
     if args.check == "operator":
-        s = pair_frame_operator(pair)
-        norm = operator_norm(s)
-        swapped = _pair_operator(fam_b, fam_a)
-        swap_residual = operator_norm(adjoint(s) - swapped)
-        norm_ok = norm <= sqrt_bd + TOL_SLACK
-        swap_ok = swap_residual <= TOL_SWAP * max(1.0, norm)
-        verdict = "pass" if (norm_ok and swap_ok) else "fail"
-        doc = _base_report(
-            args,
-            verdict=verdict,
-            operator_norm=float(norm),
-            norm_bound=sqrt_bd,
-            norm_bound_ok=bool(norm_ok),
-            adjoint_swap_residual=float(swap_residual),
-            adjoint_swap_ok=bool(swap_ok),
-        )
-        return doc, _EXIT_BY_VERDICT[verdict]
-    if args.check == "bounded-below":
-        rep = pair_bounded_below(pair, tol=args.tol_frame, tol_res=args.tol_res)
-        verdict = "pass" if (rep.bounded_below and rep.resolution_ok and rep.certified_lower_ok) else "fail"
-        doc = _base_report(
-            args,
-            verdict=verdict,
-            bounded_below=rep.bounded_below,
-            sigma_min=rep.sigma_min,
-            resolution_residual=rep.resolution_residual,
-            resolution_ok=rep.resolution_ok,
-            certified_lower=rep.certified_lower,
-            certified_lower_ok=rep.certified_lower_ok,
-        )
-        return doc, _EXIT_BY_VERDICT[verdict]
-    rep = pair_sum_positivity(pair, tol_herm=args.tol_herm)
-    if not rep.hypothesis_met:
-        verdict = "hypothesis-not-met"
-    elif rep.positive and rep.factorization_ok:
-        verdict = "pass"
+        rep = pair_operator_check(pair)
+    elif args.check == "bounded-below":
+        rep = pair_bounded_below(pair, tol_frame=args.tol_frame, tol_res=args.tol_res)
     else:
-        verdict = "fail"
-    doc = _base_report(
-        args,
-        verdict=verdict,
-        hypothesis_met=rep.hypothesis_met,
-        hypothesis_notes=list(rep.hypothesis_notes),
-        factorization_residual=rep.factorization_residual,
-        factorization_ok=rep.factorization_ok,
-        positive=rep.positive,
-    )
-    return doc, _EXIT_BY_VERDICT[verdict]
+        rep = pair_sum_positivity(pair, tol_herm=args.tol_herm)
+    return _base_report(args, verdict=rep.verdict, **asdict(rep))
 
 
-def cmd_multiplier(args) -> tuple[dict, int]:
+def cmd_multiplier(args) -> dict:
     fam_a, m_a, fam_b, m_b = _load_pair(args)
     pair = BesselPair(fam_a, fam_b, tol_frame=args.tol_frame, tol_herm=args.tol_herm)
     if args.m_const is not None:
@@ -254,22 +207,13 @@ def cmd_multiplier(args) -> tuple[dict, int]:
         symbol = m_b
     else:
         raise GFusionError("no symbol: pass --m-const or provide an 'm' array in a family document")
-    mat = multiplier(symbol, pair)
-    norm = operator_norm(mat)
-    norm_bound = symbol.sup_norm * float(np.sqrt(pair.lam_bounds.B_opt * pair.gam_bounds.B_opt))
     rep = multiplier_frame_criterion(symbol, pair)
-    if not rep.applicable:
-        verdict = "inapplicable"
-    elif rep.certified_lower_gam_ok and rep.certified_lower_lam_ok and rep.lam_is_frame and rep.gam_is_frame:
-        verdict = "pass"
-    else:
-        verdict = "fail"
-    doc = _base_report(
+    return _base_report(
         args,
-        verdict=verdict,
-        operator_norm=float(norm),
-        norm_bound=float(norm_bound),
-        norm_bound_ok=bool(norm <= norm_bound + TOL_SLACK),
+        verdict=rep.verdict,
+        operator_norm=rep.operator_norm,
+        norm_bound=rep.norm_bound,
+        norm_bound_ok=rep.norm_bound_ok,
         lambda_star=rep.lambda_star,
         certified_lower_first=rep.certified_lower_lam,
         certified_lower_second=rep.certified_lower_gam,
@@ -277,7 +221,6 @@ def cmd_multiplier(args) -> tuple[dict, int]:
         certified_ok_second=rep.certified_lower_gam_ok,
         symmetric_bound_inferred=rep.symmetric_bound_inferred,
     )
-    return doc, _EXIT_BY_VERDICT[verdict]
 
 
 def _perturbation_params(args) -> tuple[PerturbationParams, dict]:
@@ -305,21 +248,13 @@ def _perturbation_params(args) -> tuple[PerturbationParams, dict]:
         raise GFusionError(f"{prefix}{exc}") from None
 
 
-def cmd_perturb(args) -> tuple[dict, int]:
+def cmd_perturb(args) -> dict:
     params, mode = _perturbation_params(args)
     fam_a, _, fam_b, _ = _load_pair(args)
     rep = perturb_check(fam_a, fam_b, params, tol_frame=args.tol_frame, tol_herm=args.tol_herm)
-    if not rep.applicable:
-        verdict = "inapplicable"
-    elif not rep.hypothesis_met:
-        verdict = "hypothesis-not-met"
-    elif rep.inside:
-        verdict = "pass"
-    else:
-        verdict = "fail"
-    doc = _base_report(
+    return _base_report(
         args,
-        verdict=verdict,
+        verdict=rep.verdict,
         **mode,
         hypothesis_met=rep.hypothesis_met,
         failing_atom=rep.failing_atom,
@@ -334,35 +269,25 @@ def cmd_perturb(args) -> tuple[dict, int]:
         total_v2=rep.total_v2,
         min_margin=rep.min_margin,
     )
-    return doc, _EXIT_BY_VERDICT[verdict]
 
 
-def cmd_resolution(args) -> tuple[dict, int]:
+def cmd_resolution(args) -> dict:
     family, _ = _load_single(args)
     if args.variant in ("canonical-left", "canonical-right"):
         resolutions = canonical_resolutions(family, args.tol_frame, args.tol_herm)
         fam_ops = resolutions.left if args.variant == "canonical-left" else resolutions.right
         rep = is_resolution(fam_ops, tol=args.tol_res)
-        verdict = "pass" if rep.holds else "fail"
-        doc = _base_report(
-            args,
-            verdict=verdict,
-            residual=rep.residual,
-            residual_tol=rep.tol,
-        )
-        return doc, _EXIT_BY_VERDICT[verdict]
+        return _base_report(args, verdict=rep.verdict, residual=rep.residual, residual_tol=rep.tol)
     rep = dual_resolution_bounds(family, tol_res=args.tol_res, tol_frame=args.tol_frame, tol_herm=args.tol_herm)
-    verdict = "pass" if (rep.resolution_ok and rep.sandwich_ok) else "fail"
-    doc = _base_report(
+    return _base_report(
         args,
-        verdict=verdict,
+        verdict=rep.verdict,
         resolution_residual=rep.resolution_residual,
         resolution_ok=rep.resolution_ok,
         sandwich={"lower": rep.sandwich_lower, "upper": rep.sandwich_upper},
         form_range={"min": rep.form_min, "max": rep.form_max},
         sandwich_ok=rep.sandwich_ok,
     )
-    return doc, _EXIT_BY_VERDICT[verdict]
 
 
 _DISPATCH = {
@@ -378,12 +303,12 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report, code = _DISPATCH[args.command](args)
+        report = _DISPATCH[args.command](args)
     except (GFusionError, FileNotFoundError) as exc:
         print(f"gfusion: error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(canonical_json(report))
-    return code
+    return _EXIT_BY_VERDICT[report["verdict"]]
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ __all__ = [
     "MultiplierSymbol",
     "PlainFamily",
     "ball_partition_example",
-    "integrate",
     "replace_controls",
     "require_valid",
     "strip_controls",
@@ -213,24 +212,6 @@ def require_valid(family: ControlledFamily, tol_herm: float = TOL_HERM) -> None:
     diag = validate(family, tol_herm)
     if not diag.ok:
         raise ValidationError(diag.failures)
-
-
-def integrate(family, per_atom) -> np.ndarray:
-    """Weighted sum of per-atom matrices, in ascending atom order.
-
-    This is the exact discretization of an integral against the atomic
-    measure.  The reduction order is fixed, so results are reproducible to
-    the bit.
-    """
-    terms = [np.asarray(t, dtype=np.complex128) for t in per_atom]
-    if len(terms) != len(family.atoms):
-        raise DimensionError(f"expected {len(family.atoms)} per-atom values, got {len(terms)}")
-    total = np.zeros(terms[0].shape, dtype=np.complex128)
-    for atom, term in zip(family.atoms, terms):
-        if term.shape != total.shape:
-            raise DimensionError(f"atom {atom.id!r}: value has shape {term.shape}, expected {total.shape}")
-        total += atom.weight * term
-    return total
 
 
 def _require_same_weights(first, second, attr: str = "weight") -> None:

@@ -1,7 +1,7 @@
 """Dense complex linear algebra substrate.
 
 Everything in the package reduces to operations on dense complex matrices:
-adjoints, positivity tests, operator square roots, orthogonal projections,
+adjoints, positivity tests, operator square roots, orthonormal bases,
 and spectral bounds of Hermitian parts.  Spectra are computed by dense
 Hermitian eigendecomposition; dimensions are capped at desk scale
 (:data:`~gfusion.tolerances.MAX_DIM`), trading scalability for exactness.
@@ -36,17 +36,13 @@ __all__ = [
     "herm_defect",
     "hermitian_eigenvalues",
     "hermitian_part",
-    "inner",
     "inverse",
     "is_positive",
     "operator_norm",
     "operator_sqrt",
     "orthonormal_columns",
     "overflowing_column",
-    "projection",
-    "sigma_min",
     "spectral_summary",
-    "transport_subspace",
 ]
 
 
@@ -120,11 +116,6 @@ def as_vector(v) -> np.ndarray:
     return w
 
 
-def inner(f, g) -> complex:
-    """Inner product, linear in the first slot and conjugate-linear in the second."""
-    return complex(np.vdot(np.asarray(g), np.asarray(f)))
-
-
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose.  ``adjoint(adjoint(a))`` equals ``a`` entrywise."""
     return np.conj(np.asarray(a)).T.copy()
@@ -136,13 +127,8 @@ def operator_norm(a: np.ndarray) -> float:
 
 
 def _singular_values(a: np.ndarray) -> np.ndarray:
-    """Descending singular values: the one SVD behind :func:`sigma_min`, :func:`inverse` and every singularity test."""
+    """Descending singular values: the one SVD behind :func:`inverse` and every singularity test."""
     return _lapack("svd", np.asarray(a), compute_uv=False)
-
-
-def sigma_min(a: np.ndarray) -> float:
-    """Smallest singular value."""
-    return float(_singular_values(a)[-1])
 
 
 def _require_square(a: np.ndarray) -> np.ndarray:
@@ -347,19 +333,6 @@ class Subspace:
         return cls(basis)
 
 
-def projection(s: Subspace) -> np.ndarray:
-    """Orthogonal projection onto the subspace.
-
-    The product ``basis @ basis*`` is symmetrized so the result is Hermitian
-    exactly, not merely to rounding.
-    """
-    b = s.basis
-    p = b @ np.conj(b).T
-    p = (p + np.conj(p).T) / 2.0
-    p.setflags(write=False)
-    return p
-
-
 def _nonsingular_operator(v, dim: int) -> np.ndarray:
     """``v`` as an immutable ``dim x dim`` operator, checked to be invertible.
 
@@ -373,15 +346,3 @@ def _nonsingular_operator(v, dim: int) -> np.ndarray:
     if _singular(_singular_values(v)):
         raise SingularOperatorError("cannot transport a subspace along a singular operator")
     return v
-
-
-def transport_subspace(v: np.ndarray, s: Subspace) -> Subspace:
-    """Image of a subspace under an invertible operator.
-
-    Returns the orthonormalized span of ``v @ basis``.  The transported
-    projection ``P'`` satisfies ``P v* = P v* P'``, and commutes through
-    ``v`` when ``v`` is unitary.
-    """
-    v = _nonsingular_operator(v, s.ambient_dim)
-    return Subspace(orthonormal_columns(v @ s.basis))
-

@@ -22,17 +22,19 @@ from .family import (
     _require_same_weights,
 )
 from .linalg import _inverse, _singular_values, adjoint, is_positive, operator_norm
-from .tolerances import TOL_COMM, TOL_FACT, TOL_FRAME, TOL_HERM, TOL_RES, TOL_SLACK
+from .tolerances import TOL_COMM, TOL_FACT, TOL_FRAME, TOL_HERM, TOL_RES, TOL_SLACK, TOL_SWAP
 
 __all__ = [
     "BesselPair",
     "MultiplierReport",
     "PairBoundedBelowReport",
+    "PairOperatorReport",
     "PairSumReport",
     "multiplier",
     "multiplier_frame_criterion",
     "pair_frame_operator",
     "pair_bounded_below",
+    "pair_operator_check",
     "pair_sum_positivity",
 ]
 
@@ -110,6 +112,46 @@ def pair_frame_operator(pair: BesselPair) -> np.ndarray:
     return _pair_operator(pair.lam, pair.gam)
 
 
+def _bessel_mean(pair: BesselPair) -> float:
+    """``sqrt(B_lam B_gam)``: it bounds the pair operator's norm, and times ``sup|m|`` the multiplier's."""
+    return float(np.sqrt(pair.lam_bounds.B_opt * pair.gam_bounds.B_opt))
+
+
+@dataclass(frozen=True)
+class PairOperatorReport:
+    """The pair operator's norm against ``sqrt(B_lam B_gam)`` and its adjoint against the swapped pair operator."""
+
+    operator_norm: float
+    norm_bound: float
+    norm_bound_ok: bool
+    adjoint_swap_residual: float
+    adjoint_swap_ok: bool
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if (self.norm_bound_ok and self.adjoint_swap_ok) else "fail"
+
+
+def pair_operator_check(pair: BesselPair) -> PairOperatorReport:
+    """Certify the two properties of the pair operator stated at :func:`pair_frame_operator`.
+
+    The norm may exceed ``sqrt(B_lam B_gam)`` by ``TOL_SLACK``; the swapped
+    operator, assembled on its own, may differ from the adjoint by ``TOL_SWAP``
+    relative to ``max(1, norm)``.
+    """
+    s = pair_frame_operator(pair)
+    norm = operator_norm(s)
+    bound = _bessel_mean(pair)
+    swap_residual = operator_norm(adjoint(s) - _pair_operator(pair.gam, pair.lam))
+    return PairOperatorReport(
+        operator_norm=float(norm),
+        norm_bound=bound,
+        norm_bound_ok=bool(norm <= bound + TOL_SLACK),
+        adjoint_swap_residual=float(swap_residual),
+        adjoint_swap_ok=bool(swap_residual <= TOL_SWAP * max(1.0, norm)),
+    )
+
+
 @dataclass(frozen=True)
 class PairBoundedBelowReport:
     """Invertibility of the pair operator and the induced resolution."""
@@ -121,10 +163,14 @@ class PairBoundedBelowReport:
     certified_lower: float | None
     certified_lower_ok: bool
 
+    @property
+    def verdict(self) -> str:
+        return "pass" if (self.bounded_below and self.resolution_ok and self.certified_lower_ok) else "fail"
+
 
 def pair_bounded_below(
     pair: BesselPair,
-    tol: float = TOL_FRAME,
+    tol_frame: float = TOL_FRAME,
     tol_res: float = TOL_RES,
 ) -> PairBoundedBelowReport:
     """Decide whether the pair operator is bounded below.
@@ -137,7 +183,7 @@ def pair_bounded_below(
     s = pair_frame_operator(pair)
     sv = _singular_values(s)  # one SVD gives sigma_min and the singularity test of the inverse
     smin = float(sv[-1])
-    if smin <= tol:
+    if smin <= tol_frame:
         return PairBoundedBelowReport(False, smin, None, False, None, False)
     k = _inverse(s, sv)
     # The weighted atom terms K U P_Gi Gam_i* Lam_i P_Fi T sum to K times the pair operator.
@@ -162,6 +208,12 @@ class PairSumReport:
     factorization_residual: float | None
     factorization_ok: bool
     positive: bool
+
+    @property
+    def verdict(self) -> str:
+        if not self.hypothesis_met:
+            return "hypothesis-not-met"
+        return "pass" if (self.positive and self.factorization_ok) else "fail"
 
 
 def pair_sum_positivity(pair: BesselPair, tol_herm: float = TOL_HERM) -> PairSumReport:
@@ -219,8 +271,14 @@ def multiplier(m: MultiplierSymbol, pair: BesselPair) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MultiplierReport:
-    """Frame certification extracted from an invertibility estimate."""
+    """The multiplier's norm bound, and frame certification extracted from an invertibility estimate.
 
+    The verdict reads the certification alone; ``norm_bound_ok`` is reported beside it.
+    """
+
+    operator_norm: float
+    norm_bound: float
+    norm_bound_ok: bool
     lambda_star: float
     applicable: bool
     claimed_lambda_ok: bool | None
@@ -231,6 +289,13 @@ class MultiplierReport:
     lam_is_frame: bool
     gam_is_frame: bool
     symmetric_bound_inferred: bool = True
+
+    @property
+    def verdict(self) -> str:
+        if not self.applicable:
+            return "inapplicable"
+        frames = self.lam_is_frame and self.gam_is_frame
+        return "pass" if (self.certified_lower_gam_ok and self.certified_lower_lam_ok and frames) else "fail"
 
 
 def multiplier_frame_criterion(
@@ -244,34 +309,36 @@ def multiplier_frame_criterion(
     when it is below one.  The certified lower bound for the second family is
     ``(1 - lambda_star)^2 / (B * sup|m|^2)`` with ``B`` the first family's
     Bessel bound; the bound for the first family swaps the roles and is
-    flagged as inferred by symmetry.
+    flagged as inferred by symmetry.  The same ``M`` gives ``operator_norm``,
+    checked against ``sup|m| sqrt(B_lam B_gam)`` plus ``TOL_SLACK``.
     """
     mat = multiplier(m, pair)
+    norm = operator_norm(mat)
+    norm_bound = m.sup_norm * _bessel_mean(pair)
     lambda_star = operator_norm(np.eye(pair.dim) - mat)
     claimed_ok = None if claimed_lambda is None else bool(lambda_star <= claimed_lambda + TOL_SLACK)
-    if lambda_star >= 1.0 or m.sup_norm == 0.0:
-        return MultiplierReport(
-            lambda_star=float(lambda_star),
-            applicable=False,
-            claimed_lambda_ok=claimed_ok,
-            certified_lower_gam=None,
-            certified_lower_gam_ok=False,
-            certified_lower_lam=None,
-            certified_lower_lam_ok=False,
-            lam_is_frame=pair.lam_bounds.is_frame,
-            gam_is_frame=pair.gam_bounds.is_frame,
-        )
-    msq = m.sup_norm**2
-    cert_gam = (1.0 - lambda_star) ** 2 / (pair.lam_bounds.B_opt * msq)
-    cert_lam = (1.0 - lambda_star) ** 2 / (pair.gam_bounds.B_opt * msq)
+    applicable = not (lambda_star >= 1.0 or m.sup_norm == 0.0)
+
+    def certify(other: FrameReport, own: FrameReport) -> tuple[float | None, bool]:
+        """The lower bound certified for ``own``'s family from ``other``'s Bessel bound, and its check."""
+        if not applicable:
+            return None, False
+        cert = (1.0 - lambda_star) ** 2 / (other.B_opt * m.sup_norm**2)
+        return float(cert), bool(cert <= own.A_opt + TOL_SLACK)
+
+    cert_gam, cert_gam_ok = certify(pair.lam_bounds, pair.gam_bounds)
+    cert_lam, cert_lam_ok = certify(pair.gam_bounds, pair.lam_bounds)
     return MultiplierReport(
+        operator_norm=float(norm),
+        norm_bound=float(norm_bound),
+        norm_bound_ok=bool(norm <= norm_bound + TOL_SLACK),
         lambda_star=float(lambda_star),
-        applicable=True,
+        applicable=applicable,
         claimed_lambda_ok=claimed_ok,
-        certified_lower_gam=float(cert_gam),
-        certified_lower_gam_ok=bool(cert_gam <= pair.gam_bounds.A_opt + TOL_SLACK),
-        certified_lower_lam=float(cert_lam),
-        certified_lower_lam_ok=bool(cert_lam <= pair.lam_bounds.A_opt + TOL_SLACK),
+        certified_lower_gam=cert_gam,
+        certified_lower_gam_ok=cert_gam_ok,
+        certified_lower_lam=cert_lam,
+        certified_lower_lam_ok=cert_lam_ok,
         lam_is_frame=pair.lam_bounds.is_frame,
         gam_is_frame=pair.gam_bounds.is_frame,
     )

@@ -70,7 +70,11 @@ class PerturbationParams:
 
 @dataclass(frozen=True)
 class PerturbationReport:
-    """Outcome of a perturbation check."""
+    """Outcome of a perturbation check.
+
+    ``verdict`` reads ``applicable`` before ``hypothesis_met``: when no
+    certified interval can exist it is ``"inapplicable"``, whatever the atoms give.
+    """
 
     hypothesis_met: bool
     failing_atom: str | None
@@ -82,6 +86,14 @@ class PerturbationReport:
     inside: bool
     min_margin: float | None
     total_v2: float
+
+    @property
+    def verdict(self) -> str:
+        if not self.applicable:
+            return "inapplicable"
+        if not self.hypothesis_met:
+            return "hypothesis-not-met"
+        return "pass" if self.inside else "fail"
 
 
 def _align(lam: ControlledFamily, gam: ControlledFamily) -> None:

@@ -105,6 +105,10 @@ class ResolutionReport:
     residual: float
     tol: float
 
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.holds else "fail"
+
 
 def is_resolution(fam: OperatorFamily, tol: float = TOL_RES) -> ResolutionReport:
     """Whether the weighted sum of the terms is the identity within ``tol``."""
@@ -142,6 +146,10 @@ class DualResolutionReport:
     form_min: float
     form_max: float
     sandwich_ok: bool
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if (self.resolution_ok and self.sandwich_ok) else "fail"
 
 
 def dual_resolution_bounds(

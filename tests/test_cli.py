@@ -1,6 +1,9 @@
+import ast
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from gfusion import (
     canonical_dual,
     canonical_json,
     frame_operator,
+    multiplier,
     save_family,
 )
 from gfusion.cli import main
@@ -378,6 +382,17 @@ def _counted(fn):
     return wrapper, calls
 
 
+def _spy_everywhere(monkeypatch, fn):
+    """Count calls of ``fn`` through every gfusion namespace that holds it, as perfbench/spans.py wraps it."""
+    counted, calls = _counted(fn)
+    for name, module in list(sys.modules.items()):
+        if name == "gfusion" or name.startswith("gfusion."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
 @pytest.mark.parametrize("argv, frame_operators, pairs", [
     (["bounds", "A"], 1, 0),
     (["dual", "A", "--out", "OUT"], 2, 0),
@@ -397,18 +412,37 @@ def test_each_family_operator_is_assembled_once(capsys, monkeypatch, tmp_path, a
     for role, family in files.items():
         save_family(tmp_path / f"{role}.json", family)
     argv = [str(tmp_path / f"{x}.json") if x in files or x == "OUT" else x for x in argv]
-    counted, frame_calls = _counted(frame_operator)
-    for name, module in list(sys.modules.items()):  # every namespace that holds it, as perfbench/spans.py does
-        if name == "gfusion" or name.startswith("gfusion."):
-            for attr, value in list(vars(module).items()):
-                if value is frame_operator:
-                    monkeypatch.setattr(module, attr, counted)
+    frame_calls = _spy_everywhere(monkeypatch, frame_operator)
     counted_init, pair_calls = _counted(BesselPair.__post_init__)
     monkeypatch.setattr(BesselPair, "__post_init__", counted_init)
     code, rep, _ = run_cli(capsys, *argv)
     assert code == 0, rep
     assert len(frame_calls) == frame_operators
     assert len(pair_calls) == pairs
+
+
+def test_multiplier_is_assembled_once(capsys, monkeypatch, tmp_path):
+    """The printed norm and the frame criterion read the same multiplier matrix."""
+    pa, pb = _pair_files(tmp_path)
+    calls = _spy_everywhere(monkeypatch, multiplier)
+    code, rep, _ = run_cli(capsys, "multiplier", pa, pb, "--m-const", "1.0")
+    assert code == 0 and rep["norm_bound_ok"]
+    assert len(calls) == 1
+
+
+def test_cli_decides_no_verdict():
+    """cli.py prints each report's own ``verdict``: no verdict string outside the exit-code table, no threshold."""
+    src = (Path(__file__).resolve().parent.parent / "src" / "gfusion" / "cli.py").read_text()
+    table = re.search(r"^_EXIT_BY_VERDICT = \{\n.*?^\}\n", src, re.M | re.S)
+    assert table is not None
+    rest = src[:table.start()] + src[table.end():]
+    assert re.findall(r"""["'](pass|fail|inapplicable|hypothesis-not-met)["']""", rest) == []
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(src)) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert imported.isdisjoint({"TOL_SLACK", "TOL_SWAP", "TOL_FACT", "adjoint", "_pair_operator"})
 
 
 # -------------------------------------------------------------- reproducibility

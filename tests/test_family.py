@@ -11,7 +11,6 @@ from gfusion import (
     ValidationError,
     ball_partition_example,
     frame_operator,
-    integrate,
     inverse,
     require_valid,
     total_v2,
@@ -23,45 +22,6 @@ from helpers import oracle_gram
 def _one_atom_family(weight=1.0, v=1.0, n=2):
     atom = MeasureAtom("a0", weight, v, Subspace.full(n), np.eye(n))
     return ControlledFamily(n, (atom,), np.eye(n), np.eye(n))
-
-
-def test_integrate_single_identity_atom():
-    fam = _one_atom_family()
-    assert_allclose(integrate(fam, [np.eye(2)]), np.eye(2))
-
-
-def test_integrate_weighted_identities():
-    a0 = MeasureAtom("a0", 2.0, 1.0, Subspace.full(2), np.eye(2))
-    a1 = MeasureAtom("a1", 3.0, 1.0, Subspace.full(2), np.eye(2))
-    fam = ControlledFamily(2, (a0, a1), np.eye(2), np.eye(2))
-    assert_allclose(integrate(fam, [np.eye(2), np.eye(2)]), 5.0 * np.eye(2))
-
-
-def test_integrate_linear_and_weight_homogeneous():
-    rng = np.random.default_rng(0)
-    terms = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(4)]
-    atoms = tuple(
-        MeasureAtom(f"a{i}", float(rng.uniform(0.5, 2)), 1.0, Subspace.full(3), np.eye(3))
-        for i in range(4)
-    )
-    fam = ControlledFamily(3, atoms, np.eye(3), np.eye(3))
-    lhs = integrate(fam, [2.0 * t for t in terms])
-    assert_allclose(lhs, 2.0 * integrate(fam, terms), atol=1e-14)
-    scaled_atoms = tuple(
-        MeasureAtom(a.id, 3.0 * a.weight, a.frame_weight, a.subspace, a.local_op) for a in atoms
-    )
-    fam3 = ControlledFamily(3, scaled_atoms, np.eye(3), np.eye(3))
-    assert_allclose(integrate(fam3, terms), 3.0 * integrate(fam, terms), atol=1e-13)
-
-
-def test_integrate_rejects_shape_mismatch():
-    a0 = MeasureAtom("a0", 1.0, 1.0, Subspace.full(2), np.eye(2))
-    a1 = MeasureAtom("a1", 1.0, 1.0, Subspace.full(2), np.eye(2))
-    fam = ControlledFamily(2, (a0, a1), np.eye(2), np.eye(2))
-    with pytest.raises(DimensionError):
-        integrate(fam, [np.eye(2), np.eye(3)])
-    with pytest.raises(DimensionError):
-        integrate(fam, [np.eye(2)])
 
 
 def test_validate_builtin_example_both_readings():

@@ -6,23 +6,33 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gfusion import (
+    ControlledFamily,
     DimensionError,
+    MeasureAtom,
     NotPositiveError,
     SingularOperatorError,
     Subspace,
     adjoint,
-    inner,
     inverse,
     is_positive,
     operator_norm,
     operator_sqrt,
     orthonormal_columns,
-    projection,
     spectral_summary,
-    transport_subspace,
+    transform_family,
 )
 from gfusion.linalg import _factor_range_basis
-from helpers import unit_vectors
+from helpers import oracle_projection, unit_vectors
+
+
+def _atom(s: Subspace) -> MeasureAtom:
+    return MeasureAtom("a0", 1.0, 1.0, s, np.eye(s.ambient_dim))
+
+
+def _transported(v, s: Subspace) -> MeasureAtom:
+    """The atom on ``s`` after :func:`transform_family` pushes it along ``v`` (identity controls commute with any ``v*``)."""
+    n = s.ambient_dim
+    return transform_family(ControlledFamily(n, (_atom(s),), np.eye(n), np.eye(n)), v).atoms[0]
 
 
 def test_adjoint_identity():
@@ -38,13 +48,6 @@ def test_adjoint_involution_exact():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     assert np.array_equal(adjoint(adjoint(a)), a)
-
-
-def test_inner_linear_first_slot():
-    f = np.array([1.0, 2j])
-    g = np.array([1j, 1.0])
-    assert inner(2 * f, g) == 2 * inner(f, g)
-    assert inner(f, g) == np.conj(inner(g, f))
 
 
 def test_is_positive_identity():
@@ -103,21 +106,21 @@ def test_operator_sqrt_clamps_tiny_negative():
 
 
 def test_projection_coordinate_plane():
-    p = projection(Subspace.coordinate(3, [1, 2]))
+    p = oracle_projection(_atom(Subspace.coordinate(3, [1, 2])))
     assert_allclose(p, np.diag([0.0, 1.0, 1.0]))
 
 
 def test_projection_full_space():
-    assert_allclose(projection(Subspace.full(4)), np.eye(4))
+    assert_allclose(oracle_projection(_atom(Subspace.full(4))), np.eye(4))
 
 
 def test_projection_trace_counts_dimension():
     rng = np.random.default_rng(2)
     for r in (1, 2, 3):
         s = Subspace.from_vectors((rng.standard_normal((5, r)) + 1j * rng.standard_normal((5, r))).T)
-        p = projection(s)
+        p = oracle_projection(_atom(s))
         assert abs(np.trace(p).real - r) < 1e-10
-        assert np.array_equal(p, p.conj().T)  # Hermitian exactly
+        assert operator_norm(p - p.conj().T) < 1e-12
         assert operator_norm(p @ p - p) < 1e-10
         eigs = np.linalg.eigvalsh(p)
         assert np.all((np.abs(eigs) < 1e-9) | (np.abs(eigs - 1) < 1e-9))
@@ -125,14 +128,13 @@ def test_projection_trace_counts_dimension():
 
 def test_transport_identity_keeps_subspace():
     s = Subspace.coordinate(3, [0, 2])
-    s2 = transport_subspace(np.eye(3), s)
-    assert_allclose(projection(s2), projection(s), atol=1e-12)
+    assert_allclose(oracle_projection(_transported(np.eye(3), s)), oracle_projection(_atom(s)), atol=1e-12)
 
 
 def test_transport_invariant_subspace():
     s = Subspace.coordinate(3, [1, 2])
-    s2 = transport_subspace(np.diag([2.0, 3.0, 5.0]), s)
-    assert_allclose(projection(s2), projection(s), atol=1e-12)
+    moved = _transported(np.diag([2.0, 3.0, 5.0]), s)
+    assert_allclose(oracle_projection(moved), oracle_projection(_atom(s)), atol=1e-12)
 
 
 def test_transport_projection_identity():
@@ -140,8 +142,8 @@ def test_transport_projection_identity():
     rng = np.random.default_rng(3)
     v = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)) + 3 * np.eye(5)
     s = Subspace.from_vectors((rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))).T)
-    p = projection(s)
-    p2 = projection(transport_subspace(v, s))
+    p = oracle_projection(_atom(s))
+    p2 = oracle_projection(_transported(v, s))
     lhs = p @ v.conj().T
     assert operator_norm(lhs - lhs @ p2) < 1e-9
 
@@ -150,14 +152,14 @@ def test_transport_unitary_commutes():
     rng = np.random.default_rng(4)
     q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
     s = Subspace.from_vectors((rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))).T)
-    p = projection(s)
-    p2 = projection(transport_subspace(q, s))
+    p = oracle_projection(_atom(s))
+    p2 = oracle_projection(_transported(q, s))
     assert operator_norm(p2 @ q - q @ p) < 1e-10
 
 
 def test_transport_rejects_singular():
     with pytest.raises(SingularOperatorError):
-        transport_subspace(np.zeros((3, 3)), Subspace.coordinate(3, [0]))
+        _transported(np.zeros((3, 3)), Subspace.coordinate(3, [0]))
 
 
 def test_spectral_summary_example_diagonal():
@@ -245,7 +247,7 @@ def test_from_vectors_reveals_the_rank_of_a_repeated_direction():
     s = Subspace.from_vectors([a, 2 * a, b])
     q = np.linalg.qr(np.column_stack([a, b]))[0]
     assert s.dim == 2
-    assert operator_norm(projection(s) - q @ q.conj().T) < 1e-12
+    assert operator_norm(oracle_projection(_atom(s)) - q @ q.conj().T) < 1e-12
 
 
 def test_only_linalg_calls_numpy_linalg():

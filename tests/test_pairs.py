@@ -16,9 +16,10 @@ from gfusion import (
     operator_norm,
     pair_bounded_below,
     pair_frame_operator,
+    pair_operator_check,
     pair_sum_positivity,
-    sigma_min,
 )
+from gfusion.linalg import _singular_values
 from helpers import diag_family, lowrank_family, random_pair as _two_random_families, scale_local_ops
 
 
@@ -58,6 +59,18 @@ def test_pair_adjoint_swap():
         s = pair_frame_operator(pair)
         swapped = pair_frame_operator(BesselPair(pair.gam, pair.lam))
         assert np.max(np.abs(adjoint(s) - swapped)) < 1e-10
+
+
+def test_pair_operator_check_certifies_both_properties():
+    """The printed norm is the pair operator's, and both comparisons pass on random pairs."""
+    for seed in range(4):
+        pair = _two_random_families(seed)
+        rep = pair_operator_check(pair)
+        assert rep.operator_norm == operator_norm(pair_frame_operator(pair))
+        assert rep.norm_bound == np.sqrt(pair.lam_bounds.B_opt * pair.gam_bounds.B_opt)
+        assert rep.norm_bound_ok and rep.adjoint_swap_ok
+        assert rep.adjoint_swap_residual < 1e-10
+        assert rep.verdict == "pass"
 
 
 def test_pair_rejects_misaligned_atoms():
@@ -123,7 +136,7 @@ def test_bounded_below_takes_one_svd_of_the_pair_operator(monkeypatch):
     rep = pair_bounded_below(pair)
     assert shapes == [(16, 16)]
     assert rep.bounded_below and rep.resolution_ok
-    assert rep.sigma_min == sigma_min(pair_frame_operator(pair))
+    assert rep.sigma_min == _singular_values(pair_frame_operator(pair))[-1]
 
 
 # ------------------------------------------------------------ sum positivity
@@ -222,6 +235,9 @@ def test_multiplier_norm_bound():
         m = MultiplierSymbol(tuple(rng.uniform(-2, 2, len(pair.lam.atoms))))
         bound = m.sup_norm * np.sqrt(pair.lam_bounds.B_opt * pair.gam_bounds.B_opt)
         assert operator_norm(multiplier(m, pair)) <= bound + 1e-9
+        rep = multiplier_frame_criterion(m, pair)  # reports the norm of the one multiplier it assembles
+        assert rep.operator_norm == operator_norm(multiplier(m, pair))
+        assert rep.norm_bound == bound and rep.norm_bound_ok
 
 
 def test_multiplier_adjoint_swap_real_symbol():
