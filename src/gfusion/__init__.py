@@ -45,11 +45,9 @@ from .family import (
     FrameReport,
     MeasureAtom,
     MultiplierSymbol,
-    PlainFamily,
     ball_partition_example,
     replace_controls,
     require_valid,
-    strip_controls,
     total_v2,
     validate,
 )

@@ -33,18 +33,11 @@ from .errors import (
     PairingError,
     ValidationError,
 )
-from .family import (
-    ControlledFamily,
-    FrameReport,
-    PlainFamily,
-    _require_same_weights,
-    replace_controls,
-    require_valid,
-    strip_controls,
-)
+from .family import ControlledFamily, FrameReport, _require_aligned, _require_real, replace_controls, require_valid
 from .linalg import (
     Subspace,
     _nonsingular_operator,
+    _relative_defect,
     adjoint,
     as_vector,
     inverse,
@@ -164,8 +157,7 @@ def frame_operator(family: ControlledFamily, *, tol_herm: float = TOL_HERM) -> n
     """
     require_valid(family, tol_herm)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite S is rejected just below
-        core = atom_sum(family.dim, _gram_terms(family))
-        s = adjoint(family.control_left) @ core @ family.control_right
+        s = adjoint(family.control_left) @ plain_frame_operator(family) @ family.control_right
         if not np.isfinite(s).all():
             raise ValidationError([_non_finite_term(family)])
     return s
@@ -180,8 +172,8 @@ def _non_finite_term(family: ControlledFamily) -> str:
     return "frame operator is not finite"
 
 
-def plain_frame_operator(family: PlainFamily) -> np.ndarray:
-    """Frame operator of an uncontrolled family: Hermitian PSD by construction."""
+def plain_frame_operator(family: ControlledFamily) -> np.ndarray:
+    """The uncontrolled sum ``sum_i w_i v_i^2 Y_i* Y_i``, Hermitian PSD by construction: the core of ``S``."""
     return atom_sum(family.dim, _gram_terms(family))
 
 
@@ -313,24 +305,37 @@ def synthesis_matrix(family: ControlledFamily) -> np.ndarray:
 
 def _commutation_defect(a: np.ndarray, b: np.ndarray) -> float:
     """``norm(ab - ba) / max(1, norm(a) norm(b))`` (0.0, with no SVD, if ``a`` and ``b`` commute exactly)."""
-    commutator = a @ b - b @ a
-    if not commutator.any():
-        return 0.0
-    return operator_norm(commutator) / max(1.0, operator_norm(a) * operator_norm(b))
+    return _relative_defect(a @ b - b @ a, a, b)
+
+
+def _commutation_failure(a: np.ndarray, b: np.ndarray, what: str) -> str | None:
+    """``None`` if ``a`` and ``b`` commute within ``TOL_COMM``; otherwise why not, naming ``what`` and the defect.
+
+    The one commutation test of every hypothesis, raised or reported.
+    """
+    defect = _commutation_defect(a, b)
+    return f"{what} do not commute (defect {defect:.3e} > {TOL_COMM:.3e})" if defect > TOL_COMM else None
+
+
+def _raise_failure(failure: str | None) -> None:
+    """Raise a :func:`_commutation_failure` that is not ``None`` as a :class:`HypothesisError`."""
+    if failure is not None:
+        raise HypothesisError(failure)
 
 
 def transform_family(family: ControlledFamily, v: np.ndarray) -> ControlledFamily:
     """Push a family forward along an invertible operator ``v``.
 
     Subspaces are transported to their images, local operators become
-    ``A_i P_i v*``, and weights and controls are unchanged.  ``v*`` must
-    commute with both controls (checked), so that the new frame operator is
-    ``v S v*``.
+    ``A_i P_i v*``, and weights and controls are unchanged.  ``v`` must be a
+    finite, nonsingular ``n x n`` matrix, checked before anything else, and
+    ``v*`` must commute with both controls (checked), so that the new frame
+    operator is ``v S v*``.
     """
+    v = _nonsingular_operator(v, family.dim)
     require_valid(family)
-    v = np.asarray(v, dtype=np.complex128)
-    _require_commuting(adjoint(v), family, TOL_COMM, "adjoint of the transform")
-    return _transform(family, _nonsingular_operator(v, family.dim))
+    _require_commuting(adjoint(v), family, "the adjoint of the transform")
+    return _transform(family, v)
 
 
 def _transform(family: ControlledFamily, v: np.ndarray) -> ControlledFamily:
@@ -350,21 +355,19 @@ def _transform(family: ControlledFamily, v: np.ndarray) -> ControlledFamily:
     return ControlledFamily(family.dim, tuple(new_atoms), family.control_left, family.control_right)
 
 
-def canonical_dual(family: ControlledFamily, tol_frame: float = TOL_FRAME) -> ControlledFamily:
+def canonical_dual(family: ControlledFamily) -> ControlledFamily:
     """Transform a frame along the inverse of its frame operator.
 
     The result is again a frame; its frame operator is the inverse of the
     original one, provided that inverse commutes with the controls (checked).
     """
-    return _canonical_dual(family, TOL_COMM, tol_frame, TOL_HERM)[0]
+    return _canonical_dual(family, TOL_FRAME, TOL_HERM)[0]
 
 
-def _canonical_dual(
-    family: ControlledFamily, tol_comm: float, tol_frame: float, tol_herm: float
-) -> tuple[ControlledFamily, np.ndarray]:
+def _canonical_dual(family: ControlledFamily, tol_frame: float, tol_herm: float) -> tuple[ControlledFamily, np.ndarray]:
     """:func:`canonical_dual` and the inverse frame operator it transforms along."""
     _, s_inv = _frame_inverse(family, "cannot dualize:", tol_frame, tol_herm)
-    _require_commuting(s_inv, family, tol_comm, "inverse frame operator")
+    _require_commuting(s_inv, family, "the inverse frame operator")
     return _transform(family, s_inv), s_inv
 
 
@@ -382,27 +385,15 @@ def _frame_inverse(
     return report, inverse(s)
 
 
-def _require_commuting(op: np.ndarray, family: ControlledFamily, tol_comm: float, name: str) -> None:
-    """Raise :class:`HypothesisError` unless ``op`` commutes with both controls within ``tol_comm``."""
-    defects = (
-        _commutation_defect(op, family.control_left),
-        _commutation_defect(op, family.control_right),
-    )
-    if max(defects) > tol_comm:
-        raise HypothesisError(
-            f"{name} does not commute with the controls "
-            f"(defects {defects[0]:.3e}, {defects[1]:.3e} > {tol_comm:.3e})"
-        )
+def _require_commuting(op: np.ndarray, family: ControlledFamily, name: str) -> None:
+    """Raise :class:`HypothesisError` unless ``op`` commutes with both controls; the error names the control."""
+    for side, control in zip(("left", "right"), family.controls):
+        _raise_failure(_commutation_failure(op, control, f"{name} and the {side} control"))
 
 
 def _plain_commutation_or_raise(family: ControlledFamily) -> np.ndarray:
-    s_plain = plain_frame_operator(strip_controls(family))
-    defect = _commutation_defect(family.control_left, s_plain)
-    if defect > TOL_COMM:
-        raise HypothesisError(
-            f"left control does not commute with the plain frame operator "
-            f"(defect {defect:.3e} > {TOL_COMM:.3e})"
-        )
+    s_plain = plain_frame_operator(family)
+    _raise_failure(_commutation_failure(family.control_left, s_plain, "the left control and the plain frame operator"))
     return s_plain
 
 
@@ -431,12 +422,7 @@ def recontrol_balanced(family: ControlledFamily) -> ControlledFamily:
     product = family.control_left @ family.control_right
     if not is_positive(product, TOL_HERM):
         raise HypothesisError("the product of the controls is not positive")
-    defect = _commutation_defect(product, s_plain)
-    if defect > TOL_COMM:
-        raise HypothesisError(
-            f"merged control does not commute with the plain frame operator "
-            f"(defect {defect:.3e} > {TOL_COMM:.3e})"
-        )
+    _raise_failure(_commutation_failure(product, s_plain, "the merged control and the plain frame operator"))
     root = operator_sqrt(product, TOL_HERM)
     return replace_controls(family, root, root)
 
@@ -500,33 +486,27 @@ class CrossDualityReport:
     lower_ok_b: bool
 
 
-def cross_duality_check(
-    fam_a: ControlledFamily,
-    fam_b: ControlledFamily,
-    tol: float = TOL_DUAL,
-) -> CrossDualityReport:
+def cross_duality_check(fam_a: ControlledFamily, fam_b: ControlledFamily) -> CrossDualityReport:
     """Test whether two families reconstruct each other.
 
     Assembles ``sum_i weight_i v_i w_i root_b_i root_a_i`` from the two
     coefficient maps and compares it with the identity.  If they match, each
     family is certified to have a lower bound equal to the reciprocal of the
     other's upper bound, and those certificates are checked against the
-    computed optimal bounds.
+    computed optimal bounds.  The composite may differ from the identity by ``TOL_DUAL``.
     """
     bounds_a = optimal_bounds(fam_a)
     bounds_b = optimal_bounds(fam_b)
-    if fam_a.dim != fam_b.dim or len(fam_a.atoms) != len(fam_b.atoms):
-        raise PairingError("families have different dimensions or atom counts")
-    _require_same_weights(fam_a, fam_b)
-    if bounds_a.verdict == "not-bessel-diagnostic" or bounds_b.verdict == "not-bessel-diagnostic":
-        raise HypothesisError("both families must have real quadratic forms")
+    _require_aligned(fam_a, fam_b)
+    _require_real(bounds_a, "first family")
+    _require_real(bounds_b, "second family")
     composite = np.zeros((fam_a.dim, fam_a.dim), dtype=np.complex128)
     for a, b in zip(fam_a.atoms, fam_b.atoms):
         root_a = _atom_root(fam_a, a)
         root_b = _atom_root(fam_b, b)
         composite += a.weight * a.frame_weight * b.frame_weight * (root_b @ root_a)
     residual = operator_norm(composite - np.eye(fam_a.dim))
-    is_identity = residual <= tol
+    is_identity = residual <= TOL_DUAL
     cert_a = cert_b = None
     ok_a = ok_b = False
     if is_identity:

@@ -169,7 +169,7 @@ def cmd_bounds(args) -> dict:
 
 def cmd_dual(args) -> dict:
     family, _ = _load_single(args)
-    dual, s_inv = _canonical_dual(family, TOL_COMM, args.tol_frame, args.tol_herm)
+    dual, s_inv = _canonical_dual(family, args.tol_frame, args.tol_herm)
     s_dual = frame_operator(dual, tol_herm=args.tol_herm)
     dual_report = _bounds_of(s_dual, tol_frame=args.tol_frame, tol_herm=args.tol_herm)
     residual = operator_norm(s_dual - s_inv)
@@ -219,7 +219,6 @@ def cmd_multiplier(args) -> dict:
         certified_lower_second=rep.certified_lower_gam,
         certified_ok_first=rep.certified_lower_lam_ok,
         certified_ok_second=rep.certified_lower_gam_ok,
-        symmetric_bound_inferred=rep.symmetric_bound_inferred,
     )
 
 

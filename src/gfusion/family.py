@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, PairingError, ValidationError
+from .errors import DimensionError, HypothesisError, PairingError, ValidationError
 from .linalg import Subspace, _hermitian_spectrum, _singular, as_operator, operator_norm
 from .tolerances import TOL_HERM, TOL_SAME
 
@@ -24,11 +24,9 @@ __all__ = [
     "FrameReport",
     "MeasureAtom",
     "MultiplierSymbol",
-    "PlainFamily",
     "ball_partition_example",
     "replace_controls",
     "require_valid",
-    "strip_controls",
     "total_v2",
     "validate",
 ]
@@ -73,18 +71,6 @@ class MeasureAtom:
         return int(self.local_op.shape[0])
 
 
-def _check_atoms(dim: int, atoms) -> tuple[MeasureAtom, ...]:
-    atoms = tuple(atoms)
-    if not atoms:
-        raise ValueError("a family needs at least one atom")
-    for atom in atoms:
-        if atom.subspace.ambient_dim != dim:
-            raise DimensionError(
-                f"atom {atom.id!r} lives in dimension {atom.subspace.ambient_dim}, family in {dim}"
-            )
-    return atoms
-
-
 @dataclass(frozen=True)
 class ControlledFamily:
     """A weighted family of (subspace, local operator) atoms with a control pair.
@@ -100,7 +86,15 @@ class ControlledFamily:
     control_right: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", _check_atoms(self.dim, self.atoms))
+        atoms = tuple(self.atoms)
+        if not atoms:
+            raise ValueError("a family needs at least one atom")
+        for atom in atoms:
+            if atom.subspace.ambient_dim != self.dim:
+                raise DimensionError(
+                    f"atom {atom.id!r} lives in dimension {atom.subspace.ambient_dim}, family in {self.dim}"
+                )
+        object.__setattr__(self, "atoms", atoms)
         for name in ("control_left", "control_right"):
             c = as_operator(getattr(self, name))
             if c.shape != (self.dim, self.dim):
@@ -110,22 +104,6 @@ class ControlledFamily:
     @property
     def controls(self) -> tuple[np.ndarray, np.ndarray]:
         return (self.control_left, self.control_right)
-
-
-@dataclass(frozen=True)
-class PlainFamily:
-    """A family with both controls equal to the identity."""
-
-    dim: int
-    atoms: tuple[MeasureAtom, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", _check_atoms(self.dim, self.atoms))
-
-
-def strip_controls(family: ControlledFamily) -> PlainFamily:
-    """Forget the control pair."""
-    return PlainFamily(family.dim, family.atoms)
 
 
 def replace_controls(family: ControlledFamily, left, right) -> ControlledFamily:
@@ -150,10 +128,6 @@ class MultiplierSymbol:
     @property
     def sup_norm(self) -> float:
         return max(abs(v) for v in self.values)
-
-    @property
-    def is_real(self) -> bool:
-        return all(v.imag == 0.0 for v in self.values)
 
     @classmethod
     def constant(cls, value, count: int) -> "MultiplierSymbol":
@@ -212,6 +186,26 @@ def require_valid(family: ControlledFamily, tol_herm: float = TOL_HERM) -> None:
     diag = validate(family, tol_herm)
     if not diag.ok:
         raise ValidationError(diag.failures)
+
+
+def _require_aligned(first: ControlledFamily, second: ControlledFamily) -> None:
+    """Raise :class:`PairingError` unless the families align atom by atom over one measure.
+
+    That is one dimension, one atom count, and the same measure weights at every aligned atom pair.
+    """
+    if first.dim != second.dim:
+        raise PairingError("families live in different dimensions")
+    if len(first.atoms) != len(second.atoms):
+        raise PairingError("families have different atom counts")
+    _require_same_weights(first, second)
+
+
+def _require_real(report: FrameReport, name: str) -> None:
+    """Raise :class:`HypothesisError` if ``report`` found the quadratic form of the family ``name`` not real."""
+    if report.verdict == "not-bessel-diagnostic":
+        raise HypothesisError(
+            f"{name} has a non-real quadratic form (Hermiticity defect {report.herm_defect:.3e})"
+        )
 
 
 def _require_same_weights(first, second, attr: str = "weight") -> None:

@@ -144,13 +144,20 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return h + np.conj(h).T
 
 
+def _relative_defect(x: np.ndarray, *scale: np.ndarray) -> float:
+    """``norm(x) / max(1, product of norm(s) over scale)`` (0.0, with no SVD, if ``x`` is exactly zero).
+
+    The one normalization of every relative defect: Hermiticity, commutation and factorization.
+    """
+    if not x.any():
+        return 0.0
+    return operator_norm(x) / max(1.0, math.prod(operator_norm(s) for s in scale))
+
+
 def herm_defect(a: np.ndarray) -> float:
     """``norm(a - a*) / max(1, norm(a))``, a scale-aware asymmetry measure (0.0, with no SVD, if ``a`` is Hermitian)."""
     a = _require_square(a)
-    skew = a - np.conj(a).T
-    if not skew.any():
-        return 0.0
-    return operator_norm(skew) / max(1.0, operator_norm(a))
+    return _relative_defect(a - np.conj(a).T, a)
 
 
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:

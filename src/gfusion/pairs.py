@@ -12,17 +12,18 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .analysis import _commutation_defect, atom_factor, atom_sum, optimal_bounds
+from .analysis import _commutation_failure, atom_factor, atom_sum, optimal_bounds
 from .errors import PairingError
 from .family import (
     ControlledFamily,
     FrameReport,
     MultiplierSymbol,
+    _require_aligned,
+    _require_real,
     _require_same_operator,
-    _require_same_weights,
 )
-from .linalg import _inverse, _singular_values, adjoint, is_positive, operator_norm
-from .tolerances import TOL_COMM, TOL_FACT, TOL_FRAME, TOL_HERM, TOL_RES, TOL_SLACK, TOL_SWAP
+from .linalg import _inverse, _relative_defect, _singular_values, adjoint, is_positive, operator_norm
+from .tolerances import TOL_FACT, TOL_FRAME, TOL_HERM, TOL_RES, TOL_SLACK, TOL_SWAP
 
 __all__ = [
     "BesselPair",
@@ -45,7 +46,8 @@ class BesselPair:
     Alignment requires identical atom weights; frame weights, subspaces and
     local operators may differ.  Both members are validated and bounded once,
     under ``tol_frame`` and ``tol_herm``, and their bounds are kept with the
-    pair; both quadratic forms must be real for the pair to make sense.
+    pair; both quadratic forms must be real for the pair to make sense
+    (:class:`~gfusion.errors.HypothesisError` otherwise).
     """
 
     lam: ControlledFamily
@@ -62,19 +64,14 @@ class BesselPair:
             _require_same_operator(
                 fam.control_left, fam.control_right, f"{name} family must carry one repeated control"
             )
-        if self.lam.dim != self.gam.dim:
-            raise PairingError("families live in different dimensions")
-        if len(self.lam.atoms) != len(self.gam.atoms):
-            raise PairingError("families have different atom counts")
-        _require_same_weights(self.lam, self.gam)
+        _require_aligned(self.lam, self.gam)
         for a, b in zip(self.lam.atoms, self.gam.atoms):
             if a.codomain_dim != b.codomain_dim:
                 raise PairingError(
                     f"atoms {a.id!r} and {b.id!r} map into codomains of different dimension"
                 )
-        for name, report in (("first", self.lam_bounds), ("second", self.gam_bounds)):
-            if report.verdict == "not-bessel-diagnostic":
-                raise PairingError(f"{name} family has a non-real quadratic form")
+        _require_real(self.lam_bounds, "first family")
+        _require_real(self.gam_bounds, "second family")
 
     @property
     def dim(self) -> int:
@@ -228,20 +225,19 @@ def pair_sum_positivity(pair: BesselPair, tol_herm: float = TOL_HERM) -> PairSum
     u = pair.gam.control_left
     s_lam_gam = _cross_sum(pair.lam, pair.gam)
     s_sum = s_lam_gam + adjoint(s_lam_gam)
-    notes: list[str] = []
-    if _commutation_defect(t, u) > TOL_COMM:
-        notes.append("controls do not commute with each other")
-    if _commutation_defect(t, s_sum) > TOL_COMM:
-        notes.append("first control does not commute with the uncontrolled pair sum")
-    if _commutation_defect(u, s_sum) > TOL_COMM:
-        notes.append("second control does not commute with the uncontrolled pair sum")
+    failures = (
+        _commutation_failure(t, u, "the two controls"),
+        _commutation_failure(t, s_sum, "the first control and the uncontrolled pair sum"),
+        _commutation_failure(u, s_sum, "the second control and the uncontrolled pair sum"),
+    )
+    notes = [f for f in failures if f is not None]
     if not is_positive(s_sum, tol_herm):
         notes.append("uncontrolled pair sum is not positive")
     if notes:
         return PairSumReport(False, tuple(notes), None, False, False)
     controlled_sum = u @ s_lam_gam @ t + _pair_operator(pair.gam, pair.lam)
     factored = u @ s_sum @ t
-    residual = operator_norm(controlled_sum - factored) / max(1.0, operator_norm(factored))
+    residual = _relative_defect(controlled_sum - factored, factored)
     return PairSumReport(
         hypothesis_met=True,
         hypothesis_notes=(),
@@ -281,14 +277,12 @@ class MultiplierReport:
     norm_bound_ok: bool
     lambda_star: float
     applicable: bool
-    claimed_lambda_ok: bool | None
     certified_lower_gam: float | None
     certified_lower_gam_ok: bool
     certified_lower_lam: float | None
     certified_lower_lam_ok: bool
     lam_is_frame: bool
     gam_is_frame: bool
-    symmetric_bound_inferred: bool = True
 
     @property
     def verdict(self) -> str:
@@ -298,25 +292,19 @@ class MultiplierReport:
         return "pass" if (self.certified_lower_gam_ok and self.certified_lower_lam_ok and frames) else "fail"
 
 
-def multiplier_frame_criterion(
-    m: MultiplierSymbol,
-    pair: BesselPair,
-    claimed_lambda: float | None = None,
-) -> MultiplierReport:
+def multiplier_frame_criterion(m: MultiplierSymbol, pair: BesselPair) -> MultiplierReport:
     """Certify both families as frames from the multiplier's deviation from identity.
 
     ``lambda_star`` is the computed norm of ``I - M``; the criterion applies
     when it is below one.  The certified lower bound for the second family is
     ``(1 - lambda_star)^2 / (B * sup|m|^2)`` with ``B`` the first family's
-    Bessel bound; the bound for the first family swaps the roles and is
-    flagged as inferred by symmetry.  The same ``M`` gives ``operator_norm``,
+    Bessel bound; the bound for the first family swaps the roles.  The same ``M`` gives ``operator_norm``,
     checked against ``sup|m| sqrt(B_lam B_gam)`` plus ``TOL_SLACK``.
     """
     mat = multiplier(m, pair)
     norm = operator_norm(mat)
     norm_bound = m.sup_norm * _bessel_mean(pair)
     lambda_star = operator_norm(np.eye(pair.dim) - mat)
-    claimed_ok = None if claimed_lambda is None else bool(lambda_star <= claimed_lambda + TOL_SLACK)
     applicable = not (lambda_star >= 1.0 or m.sup_norm == 0.0)
 
     def certify(other: FrameReport, own: FrameReport) -> tuple[float | None, bool]:
@@ -334,7 +322,6 @@ def multiplier_frame_criterion(
         norm_bound_ok=bool(norm <= norm_bound + TOL_SLACK),
         lambda_star=float(lambda_star),
         applicable=applicable,
-        claimed_lambda_ok=claimed_ok,
         certified_lower_gam=cert_gam,
         certified_lower_gam_ok=cert_gam_ok,
         certified_lower_lam=cert_lam,

@@ -36,7 +36,14 @@ import numpy as np
 
 from .analysis import atom_factor, optimal_bounds
 from .errors import NotAFrameError, PairingError, ValidationError
-from .family import ControlledFamily, _require_same_operator, _require_same_weights, require_valid, total_v2
+from .family import (
+    ControlledFamily,
+    _require_aligned,
+    _require_same_operator,
+    _require_same_weights,
+    require_valid,
+    total_v2,
+)
 from .linalg import _factor_range_basis, adjoint, hermitian_eigenvalues, hermitian_part
 from .tolerances import TOL_FRAME, TOL_HERM, TOL_PD, TOL_SLACK
 
@@ -97,11 +104,8 @@ class PerturbationReport:
 
 
 def _align(lam: ControlledFamily, gam: ControlledFamily) -> None:
-    if lam.dim != gam.dim:
-        raise PairingError("families live in different dimensions")
-    if len(lam.atoms) != len(gam.atoms):
-        raise PairingError("families have different atom counts")
-    _require_same_weights(lam, gam)
+    """:func:`~gfusion.family._require_aligned`, plus the same frame weights and the same control pair."""
+    _require_aligned(lam, gam)
     _require_same_weights(lam, gam, "frame_weight")
     for a, b in zip(lam.controls, gam.controls):
         _require_same_operator(a, b, "families must share the control pair")

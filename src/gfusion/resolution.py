@@ -14,10 +14,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import _frame_inverse, _require_commuting, atom_factor, atom_sum, optimal_bounds
-from .errors import DimensionError, HypothesisError
-from .family import ControlledFamily, _require_same_operator, replace_controls
+from .errors import DimensionError
+from .family import ControlledFamily, _require_real, _require_same_operator, replace_controls
 from .linalg import adjoint, as_operator, hermitian_eigenvalues, hermitian_part, inverse, operator_norm
-from .tolerances import TOL_COMM, TOL_FRAME, TOL_HERM, TOL_RES, TOL_SLACK
+from .tolerances import TOL_FRAME, TOL_HERM, TOL_RES, TOL_SLACK
 
 __all__ = [
     "CanonicalResolutions",
@@ -168,7 +168,7 @@ def dual_resolution_bounds(
     whose extremes ``form_min`` and ``form_max`` are its exact range there.
     """
     report, s_inv = _frame_inverse(family, "dual bounds need a frame,", tol_frame, tol_herm)
-    _require_commuting(s_inv, family, TOL_COMM, "inverse frame operator")
+    _require_commuting(s_inv, family, "the inverse frame operator")
     sl, sr = s_inv @ family.control_left, s_inv @ family.control_right
     fam_ops, dual_form = _resolution_families(family, ((family.control_left, sr), (sl, sr)))
     res = is_resolution(fam_ops, tol_res)
@@ -200,29 +200,26 @@ class ResolutionFrameReport:
     certificate_ok: bool
 
 
-def resolution_implies_frame(
-    family: ControlledFamily,
-    new_control: np.ndarray,
-    tol_res: float = TOL_RES,
-) -> ResolutionFrameReport:
+def resolution_implies_frame(family: ControlledFamily, new_control: np.ndarray) -> ResolutionFrameReport:
     """Upgrade a Bessel family to a frame under the new control.
 
     The input must carry one repeated control ``T``.  If the mixed terms
     ``v_i^2 T* P_i A_i* A_i P_i U`` resolve the identity, the family with
     both controls replaced by ``U`` is a frame, with certified bounds
     ``1/B`` and ``B norm(T^-1)^2 norm(U)^2``; the certificate is compared
-    with the computed bounds of the re-controlled family.
+    with the computed bounds of the re-controlled family.  ``U`` must be a
+    finite ``n x n`` matrix, checked before anything else.
     """
+    recontrolled = replace_controls(family, new_control, new_control)
+    new_control = recontrolled.control_left
     bessel = optimal_bounds(family)
     _require_same_operator(
         family.control_left, family.control_right, "the family must carry one repeated control"
     )
-    new_control = np.asarray(new_control, dtype=np.complex128)
-    if bessel.verdict == "not-bessel-diagnostic":
-        raise HypothesisError("the quadratic form of the input family is not real")
+    _require_real(bessel, "the input family")
     t = family.control_left
     (fam_ops,) = _resolution_families(family, ((t, new_control),))
-    res = is_resolution(fam_ops, tol_res)
+    res = is_resolution(fam_ops)
     if not res.holds:
         return ResolutionFrameReport(
             hypothesis_met=False,
@@ -233,7 +230,6 @@ def resolution_implies_frame(
             computed_upper=None,
             certificate_ok=False,
         )
-    recontrolled = replace_controls(family, new_control, new_control)
     computed = optimal_bounds(recontrolled)
     t_inv_norm = operator_norm(inverse(t))
     u_norm = operator_norm(new_control)

@@ -10,11 +10,13 @@ Three have flags: ``--tol-herm``, ``--tol-frame`` and ``--tol-res`` replace
 the validation of each family (made once, where its frame operator is
 assembled), every bounds verdict, and the positivity and resolution tests.
 Library functions take them as the keywords ``tol_herm``, ``tol_frame`` and
-``tol_res``.  The only other thresholds a caller can set are ``tol`` of
-``cross_duality_check`` (``TOL_DUAL``) and of ``is_resolution``
-(``TOL_RES``), and ``tol`` of ``is_positive`` and ``operator_sqrt``
-(``TOL_PD``).  ``TOL_COMM`` (reports print it as ``tol_comm``),
-``TOL_SLACK``, ``TOL_FACT``, ``TOL_SWAP`` and the rest are fixed.
+``tol_res`` (``canonical_dual``, ``cross_duality_check`` and
+``resolution_implies_frame`` take none).  The only other
+thresholds a caller can set are ``tol`` of ``is_resolution`` (``TOL_RES``),
+and ``tol`` of ``is_positive`` and ``operator_sqrt`` (``TOL_PD``).
+``TOL_COMM`` (reports print it as ``tol_comm``; compared in
+``analysis._commutation_failure`` only), ``TOL_DUAL``, ``TOL_SLACK``,
+``TOL_FACT``, ``TOL_SWAP`` and the rest are fixed.
 """
 
 TOL_HERM = 1e-8       # relative Hermiticity defect allowed before a form counts as non-real

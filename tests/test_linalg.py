@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -268,3 +269,22 @@ def test_no_module_draws_random_numbers():
         if re.search(r"np\.random|default_rng|import random", p.read_text())
     ]
     assert offenders == []
+
+
+def test_no_module_has_an_unused_import():
+    """Every name a module imports is read somewhere in it (``__init__`` re-exports, so it is left out)."""
+    src = Path(__file__).resolve().parent.parent / "src" / "gfusion"
+    unused = []
+    for p in sorted(src.glob("*.py")):
+        if p.name == "__init__.py":
+            continue
+        tree = ast.parse(p.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{p.name}: {name}" for name in sorted(imported - read)]
+    assert unused == []

@@ -47,7 +47,7 @@ from gfusion import (
 )
 from gfusion.analysis import _canonical_dual
 from gfusion.cli import main
-from gfusion.tolerances import TOL_COMM, TOL_FRAME
+from gfusion.tolerances import TOL_FRAME
 from helpers import diag_family, generic_family, scale_local_ops
 
 FAMILY = importlib.import_module("gfusion.family")
@@ -290,7 +290,7 @@ def test_loosening_a_tolerance_never_turns_a_pass_into_a_failure(kind, seed, ske
         save_family(paths["A"], fam)
         save_family(paths["P"], scale_local_ops(fam, 1.05))
         try:
-            save_family(paths["D"], _canonical_dual(fam, TOL_COMM, TOL_FRAME, 1e-2)[0])
+            save_family(paths["D"], _canonical_dual(fam, TOL_FRAME, 1e-2)[0])
         except GFusionError:  # no canonical dual: pair the family with its scaled copy instead
             save_family(paths["D"], scale_local_ops(fam, 1.05))
         argv = [str(paths.get(x, x)) for x in command]
