@@ -124,12 +124,7 @@ def gram_form(family: ControlledFamily, f, g) -> complex:
     g = as_vector(g)
     if f.size != family.dim or g.size != family.dim:
         raise DimensionError("vector dimension does not match the family")
-    rf = family.control_right @ f
-    lg = family.control_left @ g
-    total = 0.0 + 0.0j
-    for c, ap, _ in _gram_terms(family):
-        total += c * complex(np.vdot(ap @ lg, ap @ rf))
-    return total
+    return complex(_gram_columns(family, f[:, None], g[:, None])[0])
 
 
 def gram_form_samples(family: ControlledFamily, vectors: np.ndarray) -> np.ndarray:
@@ -141,11 +136,16 @@ def gram_form_samples(family: ControlledFamily, vectors: np.ndarray) -> np.ndarr
     vectors = np.asarray(vectors, dtype=np.complex128)
     if vectors.ndim != 2 or vectors.shape[0] != family.dim:
         raise DimensionError(f"expected shape ({family.dim}, k), got {vectors.shape}")
-    rf = family.control_right @ vectors
-    lf = family.control_left @ vectors
-    vals = np.zeros(vectors.shape[1], dtype=np.complex128)
+    return _gram_columns(family, vectors, vectors)
+
+
+def _gram_columns(family: ControlledFamily, fs: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    """The Gram form at each column pair ``(f, g)`` of ``fs`` and ``gs``: the one loop of both Gram functions."""
+    rf = family.control_right @ fs
+    lg = family.control_left @ gs
+    vals = np.zeros(fs.shape[1], dtype=np.complex128)
     for c, ap, _ in _gram_terms(family):
-        vals += c * np.sum(np.conj(ap @ lf) * (ap @ rf), axis=0)
+        vals += c * np.sum(np.conj(ap @ lg) * (ap @ rf), axis=0)
     return vals
 
 
@@ -232,9 +232,7 @@ class CoefficientBundle:
 
     @property
     def norm_sq(self) -> float:
-        return float(
-            sum(w * float(np.vdot(v, v).real) for w, v in zip(self.weights, self.vectors))
-        )
+        return float(sum(w * float((np.conj(v) @ v).real) for w, v in zip(self.weights, self.vectors)))
 
 
 def _atom_root(family: ControlledFamily, atom) -> np.ndarray:
@@ -386,42 +384,49 @@ def _frame_inverse(
 
 
 def _require_commuting(op: np.ndarray, family: ControlledFamily, name: str) -> None:
-    """Raise :class:`HypothesisError` unless ``op`` commutes with both controls; the error names the control."""
-    for side, control in zip(("left", "right"), family.controls):
+    """Raise :class:`HypothesisError` unless ``op`` commutes with both controls (a repeated one is tested once).
+
+    The error names the control.
+    """
+    controls = family.controls[:1] if np.array_equal(*family.controls) else family.controls
+    for side, control in zip(("left", "right"), controls):
         _raise_failure(_commutation_failure(op, control, f"{name} and the {side} control"))
 
 
-def _plain_commutation_or_raise(family: ControlledFamily) -> np.ndarray:
+def _product_form(family: ControlledFamily) -> tuple[np.ndarray, np.ndarray]:
+    """The plain frame operator and the merged control ``L R``, under the product-form hypotheses.
+
+    ``L`` must commute with the plain frame operator and ``L R`` must be
+    positive within ``TOL_HERM``; otherwise :class:`HypothesisError`.
+    """
     s_plain = plain_frame_operator(family)
     _raise_failure(_commutation_failure(family.control_left, s_plain, "the left control and the plain frame operator"))
-    return s_plain
+    product = family.control_left @ family.control_right
+    if not is_positive(product, TOL_HERM):
+        raise HypothesisError("the product of the controls is not positive")
+    return s_plain, product
 
 
 def recontrol_product(family: ControlledFamily) -> ControlledFamily:
     """Merge the control pair into (left @ right, identity).
 
-    Requires the left control to commute with the plain frame operator;
-    under that hypothesis the Gram form, and hence the optimal bounds, are
-    unchanged.
+    Requires the product-form hypotheses (:func:`_product_form`); under
+    them the Gram form, and hence the optimal bounds, are unchanged.
     """
     require_valid(family)
-    _plain_commutation_or_raise(family)
-    product = family.control_left @ family.control_right
+    _, product = _product_form(family)
     return replace_controls(family, product, np.eye(family.dim))
 
 
 def recontrol_balanced(family: ControlledFamily) -> ControlledFamily:
     """Split the merged control evenly: both controls become its square root.
 
-    On top of the product-form hypothesis this needs the merged control to
-    be positive and to commute with the plain frame operator, so that its
-    positive square root commutes too.
+    On top of the product-form hypotheses this needs the merged control to
+    commute with the plain frame operator, so that its positive square root
+    commutes too.
     """
     require_valid(family)
-    s_plain = _plain_commutation_or_raise(family)
-    product = family.control_left @ family.control_right
-    if not is_positive(product, TOL_HERM):
-        raise HypothesisError("the product of the controls is not positive")
+    s_plain, product = _product_form(family)
     _raise_failure(_commutation_failure(product, s_plain, "the merged control and the plain frame operator"))
     root = operator_sqrt(product, TOL_HERM)
     return replace_controls(family, root, root)
@@ -454,10 +459,7 @@ def controlled_plain_equivalence(family: ControlledFamily) -> EquivalenceReport:
     upper bound divided by the smallest eigenvalue.
     """
     controlled = optimal_bounds(family)
-    s_plain = _plain_commutation_or_raise(family)
-    product = family.control_left @ family.control_right
-    if not is_positive(product, TOL_HERM):
-        raise HypothesisError("the product of the controls is not positive")
+    s_plain, product = _product_form(family)
     prod_summary = spectral_summary(product)
     plain_summary = spectral_summary(s_plain)
     lower_ok = controlled.A_opt / prod_summary.lambda_max <= plain_summary.lambda_min + TOL_SLACK

@@ -14,6 +14,7 @@ and flags produce byte-identical output.  No command draws a random number.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict
 
@@ -47,12 +48,23 @@ _EXIT_BY_VERDICT = {
 }
 
 
+def _finite(text: str) -> float:
+    """The value of a numeric flag outside ``perturb``: a finite float, else a usage error naming the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-herm", type=float, default=TOL_HERM,
+    parser.add_argument("--tol-herm", type=_finite, default=TOL_HERM,
                         help="relative Hermiticity defect tolerance")
-    parser.add_argument("--tol-frame", type=float, default=TOL_FRAME,
+    parser.add_argument("--tol-frame", type=_finite, default=TOL_FRAME,
                         help="lower-bound floor for a frame verdict")
-    parser.add_argument("--tol-res", type=float, default=TOL_RES,
+    parser.add_argument("--tol-res", type=_finite, default=TOL_RES,
                         help="residual tolerance for resolutions of the identity")
 
 
@@ -62,7 +74,7 @@ def _family_source_flags(parser: argparse.ArgumentParser) -> None:
                         help="use a builtin family instead of a file")
     parser.add_argument("--reading", choices=("consistent", "literal"), default="consistent",
                         help="subspace assignment used by the builtin family")
-    parser.add_argument("--weights", type=float, nargs=3, default=(3.0, 2.0, 1.5),
+    parser.add_argument("--weights", type=_finite, nargs=3, default=(3.0, 2.0, 1.5),
                         metavar=("MU1", "MU2", "MU3"),
                         help="cell masses for the builtin family")
 
@@ -101,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("multiplier", help="multiplier operator and frame criterion")
     p.add_argument("file_a", help="first family document")
     p.add_argument("file_b", help="second family document")
-    p.add_argument("--m-const", type=float, default=None,
+    p.add_argument("--m-const", type=_finite, default=None,
                    help="constant symbol value (overrides any 'm' array in the files)")
     _common_flags(p)
 
@@ -127,7 +139,10 @@ def _load_single(args) -> tuple[ControlledFamily, MultiplierSymbol | None]:
     if args.builtin is not None:
         if args.file is not None:
             raise GFusionError("give either a file or --builtin, not both")
-        return ball_partition_example(*args.weights, reading=args.reading), None
+        try:
+            return ball_partition_example(*args.weights, reading=args.reading), None
+        except ValueError as exc:  # the cell masses are out of order or not above 1
+            raise GFusionError(f"--weights: {exc}") from None
     if args.file is None:
         raise GFusionError("no input: give a family document or --builtin")
     return load_family(args.file)
@@ -303,7 +318,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = _DISPATCH[args.command](args)
-    except (GFusionError, FileNotFoundError) as exc:
+    except (GFusionError, OSError) as exc:  # OSError: a document or --out path that cannot be read or written
         print(f"gfusion: error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(canonical_json(report))

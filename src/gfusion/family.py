@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, HypothesisError, PairingError, ValidationError
-from .linalg import Subspace, _hermitian_spectrum, _singular, as_operator, operator_norm
+from .linalg import Subspace, _hermitian_spectrum, _relative_defect, _singular, as_operator
 from .tolerances import TOL_HERM, TOL_SAME
 
 __all__ = [
@@ -222,13 +222,10 @@ def _require_same_weights(first, second, attr: str = "weight") -> None:
 
 
 def _require_same_operator(a: np.ndarray, b: np.ndarray, message: str) -> None:
-    """Raise :class:`PairingError` unless ``norm(a - b) <= TOL_SAME * max(1, norm(a))`` (no SVD if ``a == b``)."""
-    difference = a - b
-    if not difference.any():
-        return
-    defect = operator_norm(difference)
-    if defect > TOL_SAME * max(1.0, operator_norm(a)):
-        raise PairingError(f"{message} (defect {defect:.3e})")
+    """Raise :class:`PairingError` unless the relative defect of ``a - b`` against ``a`` is within ``TOL_SAME``."""
+    defect = _relative_defect(a - b, a)
+    if defect > TOL_SAME:
+        raise PairingError(f"{message} (defect {defect:.3e} > {TOL_SAME:.3e})")
 
 
 def total_v2(family) -> float:

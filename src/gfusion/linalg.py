@@ -147,7 +147,8 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 def _relative_defect(x: np.ndarray, *scale: np.ndarray) -> float:
     """``norm(x) / max(1, product of norm(s) over scale)`` (0.0, with no SVD, if ``x`` is exactly zero).
 
-    The one normalization of every relative defect: Hermiticity, commutation and factorization.
+    The one normalization of every relative defect: Hermiticity, commutation, factorization, two
+    operators that must be the same, and the orthonormality of a stored basis (no scale: the norm itself).
     """
     if not x.any():
         return 0.0
@@ -301,7 +302,7 @@ class Subspace:
             raise DimensionError(f"basis has {r} columns in ambient dimension {n}")
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing Gram matrix is rejected below
             residual = np.conj(b).T @ b - np.eye(r)
-        defect = operator_norm(residual) if np.isfinite(residual).all() else math.inf
+        defect = _relative_defect(residual) if np.isfinite(residual).all() else math.inf
         if not defect <= TOL_ORTH:
             raise DimensionError(
                 f"basis columns are not orthonormal (defect {defect:.3e}); "

@@ -67,9 +67,7 @@ class BesselPair:
         _require_aligned(self.lam, self.gam)
         for a, b in zip(self.lam.atoms, self.gam.atoms):
             if a.codomain_dim != b.codomain_dim:
-                raise PairingError(
-                    f"atoms {a.id!r} and {b.id!r} map into codomains of different dimension"
-                )
+                raise PairingError(f"atoms {a.id!r} and {b.id!r} map into codomains of different dimension")
         _require_real(self.lam_bounds, "first family")
         _require_real(self.gam_bounds, "second family")
 
@@ -78,26 +76,27 @@ class BesselPair:
         return int(self.lam.dim)
 
 
-def _cross_sum(first: ControlledFamily, second: ControlledFamily) -> np.ndarray:
-    """Uncontrolled pair sum ``sum_i weight_i v_i w_i P_Gi Gam_i* Lam_i P_Fi``.
+def _cross_sum(first: ControlledFamily, second: ControlledFamily, m: MultiplierSymbol | None = None) -> np.ndarray:
+    """Uncontrolled pair sum ``sum_i weight_i m_i v_i w_i P_Gi Gam_i* Lam_i P_Fi``, ``m_i = 1`` without a symbol.
 
     ``Lam, v`` come from ``first`` and ``Gam, w`` from ``second``; the
     measure weights are those of ``first``.
     """
+    values = (1.0,) * len(first.atoms) if m is None else m.values
     terms = (
-        (a.weight * a.frame_weight * b.frame_weight, atom_factor(b), atom_factor(a))
-        for a, b in zip(first.atoms, second.atoms)
+        (a.weight * mi * a.frame_weight * b.frame_weight, atom_factor(b), atom_factor(a))
+        for mi, a, b in zip(values, first.atoms, second.atoms)
     )
     return atom_sum(first.dim, terms)
 
 
-def _pair_operator(first: ControlledFamily, second: ControlledFamily) -> np.ndarray:
-    """The pair operator of ``BesselPair(first, second)``, without building the pair.
+def _pair_operator(first: ControlledFamily, second: ControlledFamily, m: MultiplierSymbol | None = None) -> np.ndarray:
+    """The pair operator of ``BesselPair(first, second)`` (atoms weighed by ``m``, if given), without building the pair.
 
     Swapping the arguments assembles the swapped operator independently of
     the unswapped one, so comparing it with the adjoint is a real check.
     """
-    return second.control_left @ _cross_sum(first, second) @ first.control_left
+    return second.control_left @ _cross_sum(first, second, m) @ first.control_left
 
 
 def pair_frame_operator(pair: BesselPair) -> np.ndarray:
@@ -248,21 +247,15 @@ def pair_sum_positivity(pair: BesselPair, tol_herm: float = TOL_HERM) -> PairSum
 
 
 def multiplier(m: MultiplierSymbol, pair: BesselPair) -> np.ndarray:
-    """``sum_i weight_i m_i v_i w_i T P_Fi Lam_i* Gam_i P_Gi U``.
+    """``sum_i weight_i m_i v_i w_i T P_Fi Lam_i* Gam_i P_Gi U``: the swapped pair operator, each atom weighed by ``m``.
 
     Linear in the symbol; the zero symbol gives the zero operator exactly,
     and the norm is bounded by the symbol's sup norm times the geometric
     mean of the Bessel bounds.
     """
     if len(m.values) != len(pair.lam.atoms):
-        raise PairingError(
-            f"symbol has {len(m.values)} values for {len(pair.lam.atoms)} atoms"
-        )
-    terms = (
-        (a.weight * mi * a.frame_weight * b.frame_weight, atom_factor(a), atom_factor(b))
-        for mi, a, b in zip(m.values, pair.lam.atoms, pair.gam.atoms)
-    )
-    return pair.lam.control_left @ atom_sum(pair.dim, terms) @ pair.gam.control_left
+        raise PairingError(f"symbol has {len(m.values)} values for {len(pair.lam.atoms)} atoms")
+    return _pair_operator(pair.gam, pair.lam, m)
 
 
 @dataclass(frozen=True)

@@ -176,11 +176,8 @@ def perturb_check(
         if w[0] < -TOL_PD:
             hypothesis_met, failing_atom = False, atom_id
             break
-        if params.lambda1 == params.lambda2 == 0.0:  # dominator eps * I: lambda_min(eps I - delta) = eps - w[-1]
-            upper_margin = params.eps - w[-1]
-        else:  # eps * I shifts every eigenvalue
-            upper_margin = params.eps + hermitian_eigenvalues(params.lambda1 * ref + params.lambda2 * per - delta)[0]
-        if upper_margin < -TOL_PD:
+        upper_margin = params.eps + hermitian_eigenvalues(params.lambda1 * ref + params.lambda2 * per - delta)[0]
+        if upper_margin < -TOL_PD:  # eps * I shifts every eigenvalue of the dominator
             hypothesis_met, failing_atom = False, atom_id
             break
         lowest = float(w[0])

@@ -55,17 +55,18 @@ _NUMBER = {int, float}  # exact types, so a boolean (a subclass of int) is no nu
 _BINARY_KEYS = {"shape", "c128le"}
 
 
-def _parse_scalar(value, where: str) -> complex:
+def _parse_scalar(value, where: str, *index: int) -> complex:
+    """A JSON number or ``[re, im]`` pair as a complex; an error names ``where``, then ``[i]`` per index."""
     try:
         if type(value) in _NUMBER:
             return complex(value, 0.0)
         if type(value) is list and len(value) == 2 and type(value[0]) in _NUMBER and type(value[1]) in _NUMBER:
             return complex(value[0], value[1])
+        problem = "expected a number, got a boolean" if isinstance(value, bool) else (
+            f"expected a number or [re, im] pair, got {value!r}")
     except OverflowError:  # an integer beyond the double range
-        raise FamilyDocumentError(f"{where}: number is too large for a double") from None
-    if isinstance(value, bool):
-        raise FamilyDocumentError(f"{where}: expected a number, got a boolean")
-    raise FamilyDocumentError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+        problem = "number is too large for a double"
+    raise FamilyDocumentError(f"{where}{''.join(f'[{i}]' for i in index)}: {problem}")  # the path, built on error only
 
 
 def _decode_matrix(value: dict, where: str, rows: str = "rows", width: int | None = None,
@@ -98,35 +99,18 @@ def _parse_matrix(value, where: str, rows: str = "rows", width: int | None = Non
         return _decode_matrix(value, where, rows, width)
     if type(value) is not list or not value:
         raise FamilyDocumentError(f"{where}: expected a nonempty array of {rows}")
-    re, im = [], []
+    entries = []
     for r, row in enumerate(value):
         if type(row) is not list or not row:
             raise FamilyDocumentError(f"{where}[{r}]: expected a nonempty array")
-        for c, x in enumerate(row):
-            t = type(x)
-            if t is float or t is int:
-                re.append(x)
-                im.append(0.0)
-            elif t is list and len(x) == 2 and type(x[0]) in _NUMBER and type(x[1]) in _NUMBER:
-                re.append(x[0])
-                im.append(x[1])
-            else:
-                _parse_scalar(x, f"{where}[{r}][{c}]")  # raises, naming the entry
+        entries += [_parse_scalar(x, where, r, c) for c, x in enumerate(row)]
     expected = len(value[0]) if width is None else width
     if any(len(row) != expected for row in value):
         raise FamilyDocumentError(
             f"{where}: {rows} have inconsistent lengths" if width is None
             else f"{where}: {rows} must have length {width}"
         )
-    m = np.empty(len(re), dtype=np.complex128)
-    try:
-        m.real = re
-        m.imag = im
-    except OverflowError:  # an integer beyond the double range: name the first one
-        for r, row in enumerate(value):
-            for c, x in enumerate(row):
-                _parse_scalar(x, f"{where}[{r}][{c}]")
-        raise
+    m = np.array(entries, dtype=np.complex128)
     if not np.isfinite(m).all():
         raise FamilyDocumentError(f"{where}: entries must be finite")
     return m.reshape(len(value), expected)
@@ -161,7 +145,7 @@ def _parse_symbol(value, count: int) -> list[complex]:
         if values.shape == (1, count):
             return values[0].tolist()
     elif type(value) is list and len(value) == count:
-        values = [_parse_scalar(x, f"m[{i}]") for i, x in enumerate(value)]
+        values = [_parse_scalar(x, "m", i) for i, x in enumerate(value)]
         if not all(cmath.isfinite(x) for x in values):
             raise FamilyDocumentError("m: entries must be finite")
         return values
@@ -267,9 +251,10 @@ def canonical_json(obj) -> str:
 
 def load_family(path) -> tuple[ControlledFamily, MultiplierSymbol | None]:
     """Parse a family document from a file."""
-    text = Path(path).read_text()
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FamilyDocumentError(f"{path}: not UTF-8 text ({exc})") from None
     except json.JSONDecodeError as exc:
         raise FamilyDocumentError(f"{path}: not valid JSON ({exc})") from exc
     return document_to_family(doc)

@@ -1,3 +1,6 @@
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -465,3 +468,69 @@ def test_exact_commutation_takes_no_norm(monkeypatch):
     assert calls == []
     defect = _commutation_defect(skew, s)
     assert defect > 0 and np.float64(defect).tobytes() == np.float64(expected).tobytes()
+
+
+# --------------------------------------------------------------- refused inputs
+
+def _with_vector(bundle, i, vector):
+    vectors = list(bundle.vectors)
+    vectors[i] = vector
+    return replace(bundle, vectors=tuple(vectors))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda fam: gram_form(fam, np.ones(4), np.ones(3)), "vector dimension does not match the family"),
+    (lambda fam: gram_form(fam, np.ones(3), np.ones(2)), "vector dimension does not match the family"),
+    (lambda fam: gram_form_samples(fam, np.ones((4, 2))), r"expected shape \(3, k\), got \(4, 2\)"),
+    (lambda fam: gram_form_samples(fam, np.ones(3)), r"expected shape \(3, k\), got \(3,\)"),
+    (lambda fam: analysis(fam, np.ones(4)), "vector dimension does not match the family"),
+    (lambda fam: synthesis(fam, _with_vector(analysis(fam, np.ones(3)), 1, np.ones(2))),
+     "atom 'B2': coefficient vector has wrong dimension"),
+], ids=["gram-f", "gram-g", "samples-rows", "samples-1d", "analysis", "synthesis-vector"])
+def test_mis_shaped_vectors_are_refused(call, message):
+    from gfusion import DimensionError
+
+    with pytest.raises(DimensionError, match=message):
+        call(ball_partition_example(3.0, 2.0, 1.5))
+
+
+def test_synthesis_refuses_a_bundle_of_other_atoms():
+    from gfusion import PairingError
+
+    fam = ball_partition_example(3.0, 2.0, 1.5)
+    bundle = analysis(fam, np.ones(3))
+    with pytest.raises(PairingError, match="coefficient bundle does not match the family's atoms"):
+        synthesis(fam, replace(bundle, atom_ids=("B1", "B3", "B2")))
+
+
+def _non_positive_product_family():
+    """Plain frame operator ``I`` (it commutes with every control), but ``L R`` is not Hermitian."""
+    atom = MeasureAtom("a0", 1.0, 1.0, Subspace.full(2), np.eye(2))
+    return ControlledFamily(2, (atom,), np.diag([1.0, 2.0]), np.array([[2.0, 1.0], [1.0, 2.0]]))
+
+
+@pytest.mark.parametrize("op", [recontrol_product, recontrol_balanced, controlled_plain_equivalence])
+def test_every_product_form_caller_refuses_a_non_positive_product(op):
+    with pytest.raises(HypothesisError, match="^the product of the controls is not positive$"):
+        op(_non_positive_product_family())
+
+
+def test_overflowing_sum_of_finite_terms_names_the_frame_operator():
+    """Each atom's term is finite and only their sum overflows, so no atom is named."""
+    from gfusion import ValidationError
+
+    atoms = tuple(MeasureAtom(f"a{i}", 1.0, 1.0, Subspace.full(1), [[1e154]]) for i in range(2))
+    fam = ControlledFamily(1, atoms, np.eye(1), np.eye(1))
+    with pytest.raises(ValidationError, match="^frame operator is not finite$"):
+        frame_operator(fam)
+
+
+@pytest.mark.parametrize("equal_controls, sides", [(True, ["left"]), (False, ["left", "right"])])
+def test_a_repeated_control_is_one_commutator(monkeypatch, equal_controls, sides):
+    """``canonical_dual`` tests ``S^-1`` against the left control, and against the right one only if it differs."""
+    module = importlib.import_module("gfusion.analysis")  # the package attribute is the analysis map
+    tested = []
+    failure = module._commutation_failure
+    monkeypatch.setattr(module, "_commutation_failure", lambda a, b, what: tested.append(what) or failure(a, b, what))
+    canonical_dual(diag_family(3, equal_controls=equal_controls))
+    assert tested == [f"the inverse frame operator and the {side} control" for side in sides]

@@ -12,15 +12,23 @@ import contextlib
 import copy
 import io
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfusion import MultiplierSymbol, ball_partition_example, family_to_document
+from gfusion import (
+    FamilyDocumentError,
+    MultiplierSymbol,
+    ball_partition_example,
+    document_to_family,
+    family_to_document,
+)
 from gfusion.cli import main
 from gfusion.tolerances import MAX_DIM
 from helpers import c128le, decimal_document
@@ -189,3 +197,51 @@ def test_a_bad_document_is_one_error_line_naming_its_entry(mutated):
             lines = err.splitlines()
             assert (code, out) == (1, ""), (argv, out)
             assert len(lines) == 1 and lines[0].startswith("gfusion: error: ") and named in lines[0], (argv, err)
+
+
+def _edit(change):
+    """A copy of ``BASE`` after ``change(doc)``, or ``change``'s return value when it returns one."""
+    doc = copy.deepcopy(BASE)
+    out = change(doc)
+    return doc if out is None else out
+
+
+def _without(mapping, key):
+    del mapping[key]
+
+
+_STRUCTURAL = [
+    (lambda d: [d], "document root must be an object"),
+    (lambda d: _without(d, "dim"), "document: missing key 'dim'"),
+    (lambda d: d.update(dim=0), "dim must be a positive integer, got 0"),
+    (lambda d: d.update(dim=True), "dim must be a positive integer, got True"),
+    (lambda d: d.update(dim=3.0), "dim must be a positive integer, got 3.0"),
+    (lambda d: d.update(controls=[]), "controls must be an object"),
+    (lambda d: _without(d["controls"], "U"), "controls must provide both 'T' and 'U'"),
+    (lambda d: d["controls"].update(T=[[1, 0], [0, 1]]), "control_left has shape (2, 2), expected (3, 3)"),
+    (lambda d: d.update(atoms=[]), "atoms must be a nonempty array"),
+    (lambda d: d.update(atoms={}), "atoms must be a nonempty array"),
+    (lambda d: d["atoms"].__setitem__(1, []), "atoms[1]: expected an object"),
+    (lambda d: _without(d["atoms"][2], "v"), "atoms[2]: missing key 'v'"),
+    (lambda d: d["atoms"][0].update(id=1), "atoms[0]: id must be a string"),
+    (lambda d: d["atoms"][0].update(weight=[3.0, 1.0]), "atoms[0]: weights must be real"),
+    (lambda d: d["atoms"][1].update(v=[2.0, -0.5]), "atoms[1]: weights must be real"),
+    (lambda d: d["atoms"][0].update(weight=-3.0), "atoms[0]: atom 'B1': weight must be positive, got -3.0"),
+    (lambda d: d["atoms"][0].update(weight=True), "atoms[0].weight: expected a number, got a boolean"),
+    (lambda d: d["atoms"][0].update(lam=1), "atoms[0]: unknown keys ['lam']"),
+    (lambda d: d["controls"].update(V=1), "controls: unknown keys ['V']"),
+    (lambda d: d["controls"].update(T=[]), "controls.T: expected a nonempty array of rows"),
+    (lambda d: d["controls"]["T"].__setitem__(1, 5), "controls.T[1]: expected a nonempty array"),
+    (lambda d: d["controls"]["T"][1].__setitem__(2, "x"), "controls.T[1][2]: expected a number or [re, im] pair, got 'x'"),
+    (lambda d: d["controls"]["T"][1].append(0), "controls.T: rows have inconsistent lengths"),
+    (lambda d: d["atoms"][0]["subspace"][0].append(0), "atoms[0].subspace: basis vectors must have length 3"),
+    (lambda d: d.update(m=[1, 2]), "m must be an array with one value per atom"),
+    (lambda d: d.update(m=[1, [2, 0], None]), "m[2]: expected a number or [re, im] pair, got None"),
+]
+
+
+@pytest.mark.parametrize("change, message", _STRUCTURAL, ids=[message for _, message in _STRUCTURAL])
+def test_each_structural_fault_is_named(change, message):
+    """``document_to_family`` refuses each fault with one message naming where it is."""
+    with pytest.raises(FamilyDocumentError, match=f"^{re.escape(message)}$"):
+        document_to_family(_edit(change))

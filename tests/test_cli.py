@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import re
@@ -18,7 +19,7 @@ from gfusion import (
     multiplier,
     save_family,
 )
-from gfusion.cli import main
+from gfusion.cli import build_parser, main
 from helpers import decimal_document, diag_family, scale_local_ops
 
 
@@ -228,6 +229,19 @@ def test_multiplier_missing_symbol_is_error(capsys, tmp_path):
     assert "symbol" in err
 
 
+def test_multiplier_reads_the_symbol_of_the_second_document(capsys, tmp_path):
+    """With no --m-const and no ``m`` in the first document, the second document's symbol is used."""
+    fam = diag_family(0, equal_controls=True)
+    dual = canonical_dual(fam)
+    symbol = MultiplierSymbol(tuple(0.9 + 0.1j * k for k in range(len(fam.atoms))))
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    save_family(pa, fam)
+    save_family(pb, dual, symbol)
+    _, rep, _ = run_cli(capsys, "multiplier", str(pa), str(pb))
+    expected = np.linalg.norm(multiplier(symbol, BesselPair(fam, dual)), 2)
+    assert rep["operator_norm"] == float(expected)
+
+
 # -------------------------------------------------------------------- perturb
 
 def test_perturb_identical_files_zero_budget(capsys, frame_file):
@@ -359,6 +373,102 @@ def test_usage_error_exits_1_with_nothing_on_stdout(capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert "gfusion" in out.err and "error:" in out.err
+
+
+def _numeric_options():
+    """``(subcommand, option, nargs)`` for every option of every subcommand that converts its value."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (name, action.option_strings[-1], action.nargs or 1)
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        if action.option_strings and action.type is not None
+    ]
+
+
+# Arguments under which each subcommand runs; an option given again later overrides them.
+_RUNNABLE = {
+    "bounds": ["--builtin", "paper-example"],
+    "dual": ["--builtin", "paper-example"],
+    "pair": ["A", "A", "operator"],
+    "multiplier": ["A", "A", "--m-const", "1"],
+    "perturb": ["A", "A", "--lambda1", "0.1", "--lambda2", "0", "--eps", "0"],
+    "resolution": ["--builtin", "paper-example", "dual-bounds"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, option, nargs", _numeric_options())
+def test_every_numeric_flag_refuses_a_non_finite_value(capsys, tmp_path, command, option, nargs, value):
+    """A non-finite value of any numeric flag is an error (exit 1) naming the flag: no traceback, no report."""
+    save_family(tmp_path / "A.json", ball_partition_example(3, 2, 1.5))
+    argv = [str(tmp_path / "A.json") if x == "A" else x for x in _RUNNABLE[command]]
+    if option == "--simple":  # it excludes the two-fraction flags
+        argv = argv[:2]
+    argv = [command, *argv, option, *[value] * nargs]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # a usage error
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert option in out.err and "gfusion" in out.err.splitlines()[-1]
+
+
+def test_numeric_flags_are_found():
+    found = {(command, option) for command, option, _ in _numeric_options()}
+    assert {("bounds", "--weights"), ("multiplier", "--m-const"), ("perturb", "--simple"),
+            ("perturb", "--eps"), ("resolution", "--tol-res")} <= found
+    assert len(found) == 6 * 3 + 3 + 1 + 4  # three tolerances each, --weights thrice, --m-const, perturb's four
+
+
+@pytest.mark.parametrize("weights", [["1", "2", "3"], ["3", "2", "1"]])
+def test_builtin_weights_out_of_range_name_the_flag(capsys, weights):
+    code, rep, err = run_cli(capsys, "bounds", "--builtin", "paper-example", "--weights", *weights)
+    assert code == 1 and rep is None
+    assert err.splitlines() == [
+        f"gfusion: error: --weights: cell masses must satisfy mu1 >= mu2 >= mu3 > 1, "
+        f"got ({float(weights[0])}, {float(weights[1])}, {float(weights[2])})"
+    ]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "F", "--builtin", "paper-example"], "give either a file or --builtin, not both"),
+    (["bounds"], "no input: give a family document or --builtin"),
+    (["perturb", "F", "F", "--simple", "0.1", "--lambda1", "0.1"],
+     "--simple cannot be combined with --lambda1/--lambda2/--eps"),
+])
+def test_conflicting_inputs_are_one_error_line(capsys, tmp_path, argv, message):
+    save_family(tmp_path / "F.json", ball_partition_example(3, 2, 1.5))
+    argv = [str(tmp_path / "F.json") if x == "F" else x for x in argv]
+    code, rep, err = run_cli(capsys, *argv)
+    assert code == 1 and rep is None
+    assert err.splitlines() == [f"gfusion: error: {message}"]
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "Is a directory"),
+    (b"\xff\xfe{}", "not UTF-8 text"),
+    (b"{", "not valid JSON"),
+])
+def test_unreadable_input_is_one_error_line(capsys, tmp_path, content, message):
+    path = tmp_path / "doc.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, rep, err = run_cli(capsys, "bounds", str(path))
+    assert code == 1 and rep is None
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("gfusion: error: ")
+    assert message in lines[0] and str(path) in lines[0]
+
+
+def test_unwritable_out_path_is_one_error_line(capsys, tmp_path):
+    code, rep, err = run_cli(capsys, "dual", "--builtin", "paper-example", "--out", str(tmp_path))
+    assert code == 1 and rep is None
+    assert err.splitlines() == [f"gfusion: error: [Errno 21] Is a directory: '{tmp_path}'"]
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["perturb", "--help"]])

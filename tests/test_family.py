@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,6 +8,7 @@ from gfusion import (
     ControlledFamily,
     DimensionError,
     MeasureAtom,
+    MultiplierSymbol,
     SingularOperatorError,
     Subspace,
     ValidationError,
@@ -118,7 +121,7 @@ def test_validate_and_inverse_share_one_singularity_test(control, invertible):
 
 
 def test_same_operator_takes_no_norm(monkeypatch):
-    """Equal operators pass with no SVD; a difference still raises with the SVD defect."""
+    """Equal operators pass with no SVD; a difference still raises with its relative defect (``_relative_defect``)."""
     from gfusion import PairingError
     from gfusion.family import _require_same_operator
 
@@ -128,6 +131,20 @@ def test_same_operator_takes_no_norm(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
     _require_same_operator(c, c.copy(), "controls differ")
     assert calls == []
-    with pytest.raises(PairingError, match=r"^controls differ \(defect 1\.000e-06\)$"):
+    with pytest.raises(PairingError, match=r"^controls differ \(defect 2\.500e-07 > 1\.000e-12\)$"):
         _require_same_operator(c, c + 1e-6 * np.eye(3), "controls differ")
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: MultiplierSymbol(()), ValueError, "symbol needs at least one value"),
+    (lambda: MultiplierSymbol((1.0, complex(0, float("nan")))), ValueError, "symbol values must be finite"),
+    (lambda: ball_partition_example(3, 2, 1.5, reading="other"), ValueError,
+     "reading must be 'consistent' or 'literal', got 'other'"),
+    (lambda: MeasureAtom("a0", 1.0, 1.0, Subspace.full(2), np.eye(3)), DimensionError,
+     "atom 'a0': local operator acts on dimension 3, subspace lives in dimension 2"),
+    (lambda: ControlledFamily(2, (), np.eye(2), np.eye(2)), ValueError, "a family needs at least one atom"),
+], ids=["empty-symbol", "nan-symbol", "reading", "atom-dimension", "no-atoms"])
+def test_constructors_refuse_bad_values(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()

@@ -77,6 +77,55 @@ def test_no_signature_takes_tol_comm():
     assert _owners(takes_tol_comm) == set()
 
 
+def _functions():
+    """``module.function`` and the AST of every function in the package (methods by their own name)."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                yield f"{path.stem}.{node.name}", node
+
+
+def _function(name: str) -> ast.FunctionDef:
+    return next(node for owner, node in _functions() if owner == name)
+
+
+def _calls(node, name: str) -> bool:
+    return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == name for n in ast.walk(node))
+
+
+def test_one_path_per_quantity():
+    """The multiplier is the pair-operator core; no inner product bypasses the Gram loop; one dominator test."""
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not any(isinstance(n, loops) for n in ast.walk(_function("pairs.multiplier")))
+    assert _calls(_function("pairs.multiplier"), "_pair_operator")
+    assert _owners(lambda n: isinstance(n, ast.Attribute) and n.attr == "vdot") == set()
+    fraction_tests = [
+        n for n in ast.walk(_function("perturbation.perturb_check")) if isinstance(n, ast.Compare)
+        and any(isinstance(a, ast.Attribute) and a.attr in ("lambda1", "lambda2") for a in (n.left, *n.comparators))
+    ]
+    assert fraction_tests == []
+
+
+def test_tol_same_and_tol_orth_read_relative_defects():
+    """Each operator comparison against ``TOL_SAME`` or ``TOL_ORTH`` reads a ``_relative_defect`` value.
+
+    The one other comparison is the scalar weight test of ``_require_same_weights``.
+    """
+    compared = set()
+    for owner, fn in _functions():
+        defects = {
+            target.id for n in ast.walk(fn) if isinstance(n, ast.Assign) and _calls(n.value, "_relative_defect")
+            for target in n.targets if isinstance(target, ast.Name)
+        }
+        for n in ast.walk(fn):
+            names = {a.id for a in ast.walk(n) if isinstance(a, ast.Name)} if isinstance(n, ast.Compare) else set()
+            if names & {"TOL_SAME", "TOL_ORTH"}:
+                compared.add(owner)
+                if owner != "family._require_same_weights":
+                    assert isinstance(n.left, ast.Name) and n.left.id in defects, owner
+    assert compared == {"family._require_same_operator", "family._require_same_weights", "linalg.__post_init__"}
+
+
 # ------------------------------------------------------------- one error per hypothesis
 
 _PAIRED = {

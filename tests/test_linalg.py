@@ -22,7 +22,7 @@ from gfusion import (
     spectral_summary,
     transform_family,
 )
-from gfusion.linalg import _factor_range_basis
+from gfusion.linalg import _factor_range_basis, as_operator, as_vector
 from helpers import oracle_projection, unit_vectors
 
 
@@ -288,3 +288,16 @@ def test_no_module_has_an_unused_import():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{p.name}: {name}" for name in sorted(imported - read)]
     assert unused == []
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: as_vector([]), DimensionError, "empty vector"),
+    (lambda: as_vector([1.0, np.inf]), ValueError, "vector entries must be finite"),
+    (lambda: as_operator(np.ones(3)), DimensionError, "expected a matrix, got shape (3,)"),
+    (lambda: orthonormal_columns(np.zeros((3, 2))), DimensionError,
+     "no linearly independent columns survived orthonormalization"),
+    (lambda: Subspace(np.eye(3, 4)), DimensionError, "basis has 4 columns in ambient dimension 3"),
+], ids=["empty-vector", "inf-vector", "not-a-matrix", "no-columns", "too-many-columns"])
+def test_coercions_refuse_bad_values(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()

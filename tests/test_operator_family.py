@@ -100,3 +100,12 @@ def test_resolution_memory_stays_within_a_few_matrices(call):
         tracemalloc.stop()
     assert holds
     assert peak < 32 * fam.dim**2 * np.dtype(np.complex128).itemsize
+
+
+@pytest.mark.parametrize("terms, weights, error, message", [
+    ([], [], ValueError, "an operator family needs at least one term"),
+    ([np.eye(2)], [1.0, 2.0], DimensionError, "terms and weights have different lengths"),
+], ids=["no-terms", "weight-count"])
+def test_refuses_an_empty_or_mis_weighted_family(terms, weights, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        OperatorFamily(terms, weights)

@@ -86,6 +86,23 @@ def test_pair_rejects_distinct_controls_within_member():
         BesselPair(fam, fam)
 
 
+def test_pair_rejects_atoms_with_different_codomains():
+    lam = _equal_control_family(1, n=4, n_atoms=5)
+    first = lam.atoms[0]
+    wider = MeasureAtom(first.id, first.weight, first.frame_weight, first.subspace,
+                        np.vstack([first.local_op, np.zeros((1, 4))]))
+    gam = ControlledFamily(4, (wider, *lam.atoms[1:]), lam.control_left, lam.control_right)
+    with pytest.raises(PairingError, match="^atoms 'a0' and 'a0' map into codomains of different dimension$"):
+        BesselPair(lam, gam)
+
+
+def test_multiplier_rejects_a_symbol_of_another_length():
+    pair = _dual_pair(0)
+    count = len(pair.lam.atoms)
+    with pytest.raises(PairingError, match=f"^symbol has {count + 1} values for {count} atoms$"):
+        multiplier(MultiplierSymbol.constant(1.0, count + 1), pair)
+
+
 # ----------------------------------------------------------- bounded below
 
 def test_bounded_below_parseval():

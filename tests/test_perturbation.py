@@ -418,3 +418,10 @@ def test_overflowing_compressed_atom_is_named(overflow):
     for params in [(0.0, 0.0, 0.1), (0.1, 0.0, 0.0)]:  # a RuntimeWarning would fail the test (pyproject.toml)
         with pytest.raises(ValidationError, match="atom 'a3': frame operator term is not finite"):
             perturb_check(lam, gam, PerturbationParams(*params))
+
+
+@pytest.mark.parametrize("bound", [0.0, -1.0, float("nan")])
+def test_simple_check_refuses_a_bound_that_is_not_positive(bound):
+    fam = ball_partition_example(3, 2, 1.5)
+    with pytest.raises(ValueError, match="^the perturbation constant must be positive, got "):
+        perturb_check_simple(fam, fam, bound)

@@ -263,7 +263,7 @@ def test_stored_orthonormal_basis_kept_and_checked_once(monkeypatch):
     norm, calls = np.linalg.norm, []
     monkeypatch.setattr(np.linalg, "norm", lambda *args: calls.append(1) or norm(*args))
     back, _ = document_to_family(doc)
-    assert len(calls) == len(fam.atoms)  # one orthonormality test per basis
+    assert len(calls) <= len(fam.atoms)  # at most one SVD per basis: none for an exactly orthonormal one
     for a, b in zip(fam.atoms, back.atoms):
         assert a.subspace.basis.tobytes() == b.subspace.basis.tobytes()
 
