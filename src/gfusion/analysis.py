@@ -36,8 +36,8 @@ from .errors import (
 from .family import ControlledFamily, FrameReport, _require_aligned, _require_real, replace_controls, require_valid
 from .linalg import (
     Subspace,
+    _defect_beyond,
     _nonsingular_operator,
-    _relative_defect,
     adjoint,
     as_vector,
     inverse,
@@ -47,7 +47,7 @@ from .linalg import (
     orthonormal_columns,
     spectral_summary,
 )
-from .tolerances import TOL_COMM, TOL_DUAL, TOL_FRAME, TOL_HERM, TOL_PD, TOL_SLACK
+from .tolerances import TOL_COMM, TOL_DUAL, TOL_FRAME, TOL_HERM, TOL_PD, TOL_SLACK, _require_tolerances
 
 __all__ = [
     "CoefficientBundle",
@@ -191,6 +191,7 @@ def optimal_bounds(
     the form is not real, in which case the bounds reported are those of the
     Hermitian part and the notes say so.
     """
+    _require_tolerances(tol_frame=tol_frame, tol_herm=tol_herm)
     return _bounds_of(frame_operator(family, tol_herm=tol_herm), tol_frame, tol_herm)
 
 
@@ -301,18 +302,15 @@ def synthesis_matrix(family: ControlledFamily) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def _commutation_defect(a: np.ndarray, b: np.ndarray) -> float:
-    """``norm(ab - ba) / max(1, norm(a) norm(b))`` (0.0, with no SVD, if ``a`` and ``b`` commute exactly)."""
-    return _relative_defect(a @ b - b @ a, a, b)
-
-
 def _commutation_failure(a: np.ndarray, b: np.ndarray, what: str) -> str | None:
     """``None`` if ``a`` and ``b`` commute within ``TOL_COMM``; otherwise why not, naming ``what`` and the defect.
 
-    The one commutation test of every hypothesis, raised or reported.
+    The one commutation test of every hypothesis, raised or reported.  Its
+    defect is ``norm(ab - ba) / max(1, norm(a) norm(b))``; exactly commuting
+    operators take no SVD.
     """
-    defect = _commutation_defect(a, b)
-    return f"{what} do not commute (defect {defect:.3e} > {TOL_COMM:.3e})" if defect > TOL_COMM else None
+    defect = _defect_beyond(a @ b - b @ a, TOL_COMM, a, b)
+    return None if defect is None else f"{what} do not commute (defect {defect:.3e} > {TOL_COMM:.3e})"
 
 
 def _raise_failure(failure: str | None) -> None:

@@ -59,12 +59,20 @@ def _finite(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """The value of a tolerance flag: a finite number ``>= 0``, else a usage error naming the flag."""
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-herm", type=_finite, default=TOL_HERM,
+    parser.add_argument("--tol-herm", type=_tolerance, default=TOL_HERM,
                         help="relative Hermiticity defect tolerance")
-    parser.add_argument("--tol-frame", type=_finite, default=TOL_FRAME,
+    parser.add_argument("--tol-frame", type=_tolerance, default=TOL_FRAME,
                         help="lower-bound floor for a frame verdict")
-    parser.add_argument("--tol-res", type=_finite, default=TOL_RES,
+    parser.add_argument("--tol-res", type=_tolerance, default=TOL_RES,
                         help="residual tolerance for resolutions of the identity")
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, HypothesisError, PairingError, ValidationError
-from .linalg import Subspace, _hermitian_spectrum, _relative_defect, _singular, as_operator
-from .tolerances import TOL_HERM, TOL_SAME
+from .linalg import Subspace, _defect_beyond, _hermitian_spectrum, _singular, as_operator
+from .tolerances import TOL_HERM, TOL_SAME, _require_tolerances
 
 __all__ = [
     "ControlledFamily",
@@ -171,6 +171,7 @@ def validate(family: ControlledFamily, tol_herm: float = TOL_HERM) -> FamilyDiag
     Subspace bases need no check here: :class:`Subspace` rejects a non-orthonormal
     basis when it is built and keeps a read-only copy.
     """
+    _require_tolerances(tol_herm=tol_herm)
     failures: list[str] = []
     for name, c in (("left control", family.control_left), ("right control", family.control_right)):
         w = _hermitian_spectrum(c, tol_herm)
@@ -223,8 +224,8 @@ def _require_same_weights(first, second, attr: str = "weight") -> None:
 
 def _require_same_operator(a: np.ndarray, b: np.ndarray, message: str) -> None:
     """Raise :class:`PairingError` unless the relative defect of ``a - b`` against ``a`` is within ``TOL_SAME``."""
-    defect = _relative_defect(a - b, a)
-    if defect > TOL_SAME:
+    defect = _defect_beyond(a - b, TOL_SAME, a)
+    if defect is not None:
         raise PairingError(f"{message} (defect {defect:.3e} > {TOL_SAME:.3e})")
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NotPositiveError, SingularOperatorError
-from .tolerances import DROP_TOL, MAX_DIM, TOL_ORTH, TOL_PD, TOL_SING_REL
+from .tolerances import DROP_TOL, MAX_DIM, TOL_ORTH, TOL_PD, TOL_SING_REL, _require_tolerances
 
 __all__ = [
     "SpectralSummary",
@@ -149,14 +149,54 @@ def _relative_defect(x: np.ndarray, *scale: np.ndarray) -> float:
 
     The one normalization of every relative defect: Hermiticity, commutation, factorization, two
     operators that must be the same, and the orthonormality of a stored basis (no scale: the norm itself).
+    Its SVD value is what a report prints (:func:`herm_defect`, the pair-sum factorization residual);
+    a test that only compares it with a tolerance goes through :func:`_defect_beyond`.
     """
     if not x.any():
         return 0.0
     return operator_norm(x) / max(1.0, math.prod(operator_norm(s) for s in scale))
 
 
+def _frobenius(x: np.ndarray) -> float:
+    """Frobenius norm of ``x``, scaled by its largest entry so no square overflows or underflows to zero (Blue 1978).
+
+    NaN if ``x`` holds a NaN or an infinity.
+    """
+    v = np.abs(np.asarray(x, dtype=np.complex128).reshape(-1).view(np.float64))  # real and imaginary parts
+    top = float(v.max())
+    if not 0.0 < top < math.inf:
+        return top if top == 0.0 else math.nan
+    with np.errstate(under="ignore"):
+        v /= top
+        return top * math.sqrt(float(np.square(v, out=v).sum()))
+
+
+def _defect_beyond(x: np.ndarray, tol: float, *scale: np.ndarray) -> float | None:
+    """``None`` exactly when ``_relative_defect(x, *scale) <= tol``; otherwise that defect (a NaN one counts as beyond).
+
+    The one comparison of a relative defect with a tolerance.  It takes no SVD
+    when it can settle without one: an exactly zero ``x`` has defect 0.0, and
+    since ``norm(x) <= fro(x)`` and ``norm(s) >= fro(s) / sqrt(min(s.shape))``
+    (Golub & Van Loan, section 2.3), ``fro(x) <= tol * max(1, product of
+    fro(s) / sqrt(min(s.shape))) / 2`` implies the SVD defect is within
+    ``tol``; the halving absorbs the rounding of both sides.  Anything else
+    takes the exact :func:`_relative_defect`, so the bound only passes what
+    the SVD would pass, and a failure still reports the SVD value.
+    """
+    if not x.any():
+        return None if 0.0 <= tol else 0.0
+    bound = math.prod(_frobenius(s) / math.sqrt(min(s.shape)) for s in scale)
+    if math.isfinite(bound) and _frobenius(x) <= tol * max(1.0, bound) / 2:
+        return None
+    defect = _relative_defect(x, *scale)
+    return None if defect <= tol else defect
+
+
 def herm_defect(a: np.ndarray) -> float:
-    """``norm(a - a*) / max(1, norm(a))``, a scale-aware asymmetry measure (0.0, with no SVD, if ``a`` is Hermitian)."""
+    """``norm(a - a*) / max(1, norm(a))``, a scale-aware asymmetry measure (0.0, with no SVD, if ``a`` is Hermitian).
+
+    The exact SVD value that :func:`spectral_summary` reports; tests of it against a tolerance use :func:`_defect_beyond`.
+    """
     a = _require_square(a)
     return _relative_defect(a - np.conj(a).T, a)
 
@@ -168,7 +208,10 @@ def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
 
 def _hermitian_spectrum(a: np.ndarray, tol: float) -> np.ndarray | None:
     """Eigenvalues of the Hermitian part of ``a``, or ``None`` if ``herm_defect(a) > tol``."""
-    return None if herm_defect(a) > tol else hermitian_eigenvalues(hermitian_part(a))
+    a = _require_square(a)
+    if _defect_beyond(a - np.conj(a).T, tol, a) is not None:
+        return None
+    return hermitian_eigenvalues(hermitian_part(a))
 
 
 def _singular(s: np.ndarray) -> bool:
@@ -182,6 +225,7 @@ def is_positive(a: np.ndarray, tol: float = TOL_PD) -> bool:
     True iff the Hermiticity defect is at most ``tol`` and the smallest
     eigenvalue of the Hermitian part is at least ``-tol``.
     """
+    _require_tolerances(tol=tol)
     w = _hermitian_spectrum(a, tol)
     return w is not None and bool(w[0] >= -tol)
 
@@ -194,9 +238,10 @@ def operator_sqrt(a: np.ndarray, tol: float = TOL_PD) -> np.ndarray:
     :class:`NotPositiveError`.  Rounding routinely produces tiny negative
     eigenvalues on genuinely positive inputs, hence the clamp.
     """
+    _require_tolerances(tol=tol)
     a = _require_square(a)
-    defect = herm_defect(a)
-    if defect > tol:
+    defect = _defect_beyond(a - np.conj(a).T, tol, a)
+    if defect is not None:
         raise NotPositiveError(f"operator is not Hermitian within tol ({defect:.3e} > {tol:.3e})")
     w, q = _lapack("eigh", hermitian_part(a))
     if w[0] < -tol:
@@ -291,7 +336,12 @@ def orthonormal_columns(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A closed subspace, stored as an orthonormal basis of columns."""
+    """A closed subspace, stored as an orthonormal basis of columns.
+
+    A basis whose Gram residual ``B* B - I`` has a defect above ``TOL_ORTH`` is refused;
+    :func:`_defect_beyond` settles a rounding-sized residual, such as that of
+    :func:`orthonormal_columns`, without an SVD.
+    """
 
     basis: np.ndarray
 
@@ -302,8 +352,8 @@ class Subspace:
             raise DimensionError(f"basis has {r} columns in ambient dimension {n}")
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing Gram matrix is rejected below
             residual = np.conj(b).T @ b - np.eye(r)
-        defect = _relative_defect(residual) if np.isfinite(residual).all() else math.inf
-        if not defect <= TOL_ORTH:
+        defect = _defect_beyond(residual, TOL_ORTH) if np.isfinite(residual).all() else math.inf
+        if defect is not None:
             raise DimensionError(
                 f"basis columns are not orthonormal (defect {defect:.3e}); "
                 "use Subspace.from_vectors to orthonormalize"

@@ -23,7 +23,7 @@ from .family import (
     _require_same_operator,
 )
 from .linalg import _inverse, _relative_defect, _singular_values, adjoint, is_positive, operator_norm
-from .tolerances import TOL_FACT, TOL_FRAME, TOL_HERM, TOL_RES, TOL_SLACK, TOL_SWAP
+from .tolerances import TOL_FACT, TOL_FRAME, TOL_HERM, TOL_RES, TOL_SLACK, TOL_SWAP, _require_tolerances
 
 __all__ = [
     "BesselPair",
@@ -176,6 +176,7 @@ def pair_bounded_below(
     family's Bessel bound certifies a lower frame bound for the first
     family; both claims are checked numerically.
     """
+    _require_tolerances(tol_frame=tol_frame, tol_res=tol_res)
     s = pair_frame_operator(pair)
     sv = _singular_values(s)  # one SVD gives sigma_min and the singularity test of the inverse
     smin = float(sv[-1])
@@ -220,6 +221,7 @@ def pair_sum_positivity(pair: BesselPair, tol_herm: float = TOL_HERM) -> PairSum
     positive.  Under them, the controlled sum factors as
     ``U (uncontrolled sum) T`` and is positive; both are verified.
     """
+    _require_tolerances(tol_herm=tol_herm)
     t = pair.lam.control_left
     u = pair.gam.control_left
     s_lam_gam = _cross_sum(pair.lam, pair.gam)

@@ -17,7 +17,7 @@ from .analysis import _frame_inverse, _require_commuting, atom_factor, atom_sum,
 from .errors import DimensionError
 from .family import ControlledFamily, _require_real, _require_same_operator, replace_controls
 from .linalg import adjoint, as_operator, hermitian_eigenvalues, hermitian_part, inverse, operator_norm
-from .tolerances import TOL_FRAME, TOL_HERM, TOL_RES, TOL_SLACK
+from .tolerances import TOL_FRAME, TOL_HERM, TOL_RES, TOL_SLACK, _require_tolerances
 
 __all__ = [
     "CanonicalResolutions",
@@ -112,6 +112,7 @@ class ResolutionReport:
 
 def is_resolution(fam: OperatorFamily, tol: float = TOL_RES) -> ResolutionReport:
     """Whether the weighted sum of the terms is the identity within ``tol``."""
+    _require_tolerances(tol=tol)
     residual = operator_norm(fam.weighted_sum() - np.eye(fam.dim))
     return ResolutionReport(bool(residual <= tol), float(residual), float(tol))
 
@@ -130,6 +131,7 @@ def canonical_resolutions(
     right, the left one on the left; both sum to the identity up to the
     conditioning of the frame operator.
     """
+    _require_tolerances(tol_frame=tol_frame, tol_herm=tol_herm)
     _, s_inv = _frame_inverse(family, "resolutions need a frame,", tol_frame, tol_herm)
     lc, rc = family.controls  # left terms S^-1 L* y* y R, right terms L* y* y R S^-1
     return CanonicalResolutions(*_resolution_families(family, ((lc @ adjoint(s_inv), rc), (lc, rc @ s_inv))))
@@ -167,6 +169,7 @@ def dual_resolution_bounds(
     must lie between ``A/B^2`` and ``B/A^2`` on the unit sphere: decided on the spectrum of ``H(M)``,
     whose extremes ``form_min`` and ``form_max`` are its exact range there.
     """
+    _require_tolerances(tol_res=tol_res, tol_frame=tol_frame, tol_herm=tol_herm)
     report, s_inv = _frame_inverse(family, "dual bounds need a frame,", tol_frame, tol_herm)
     _require_commuting(s_inv, family, "the inverse frame operator")
     sl, sr = s_inv @ family.control_left, s_inv @ family.control_right

@@ -257,6 +257,8 @@ def load_family(path) -> tuple[ControlledFamily, MultiplierSymbol | None]:
         raise FamilyDocumentError(f"{path}: not UTF-8 text ({exc})") from None
     except json.JSONDecodeError as exc:
         raise FamilyDocumentError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise FamilyDocumentError(f"{path}: nested too deeply to parse ({exc})") from None
     return document_to_family(doc)
 
 

@@ -13,11 +13,20 @@ Library functions take them as the keywords ``tol_herm``, ``tol_frame`` and
 ``tol_res`` (``canonical_dual``, ``cross_duality_check`` and
 ``resolution_implies_frame`` take none).  The only other
 thresholds a caller can set are ``tol`` of ``is_resolution`` (``TOL_RES``),
-and ``tol`` of ``is_positive`` and ``operator_sqrt`` (``TOL_PD``).
+and ``tol`` of ``is_positive`` and ``operator_sqrt`` (``TOL_PD``).  Each
+must be a finite number ``>= 0`` (:func:`_require_tolerances`).
 ``TOL_COMM`` (reports print it as ``tol_comm``; compared in
 ``analysis._commutation_failure`` only), ``TOL_DUAL``, ``TOL_SLACK``,
 ``TOL_FACT``, ``TOL_SWAP`` and the rest are fixed.
+
+A relative defect that is only compared with ``TOL_HERM`` (or ``tol``),
+``TOL_COMM``, ``TOL_SAME`` or ``TOL_ORTH`` is settled by
+``linalg._defect_beyond``: a scaled Frobenius bound passes it with no SVD
+when it proves the SVD defect within the tolerance, and anything else takes
+the SVD, so each comparison decides as the SVD defect would.
 """
+
+import math
 
 TOL_HERM = 1e-8       # relative Hermiticity defect allowed before a form counts as non-real
 TOL_PD = 1e-10        # absolute eigenvalue slack in positivity tests
@@ -34,3 +43,15 @@ TOL_FACT = 1e-9       # relative factorization residual of the controlled pair s
 TOL_SWAP = 1e-10      # adjoint-swap residual of the pair operator, relative to max(1, its norm)
 
 MAX_DIM = 512         # desk-scale cap for dense eigendecompositions
+
+
+def _require_tolerances(**given: float) -> None:
+    """Raise ``ValueError`` naming the first keyword whose value is not a finite number ``>= 0``.
+
+    Every public function that takes ``tol_herm``, ``tol_frame``, ``tol_res`` or ``tol`` calls it before
+    any other work, itself or through the public function it calls first: a negative tolerance fails
+    even an exactly zero defect, and would let ``tol_frame`` pass a zero bound.
+    """
+    for name, value in given.items():
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")

@@ -454,8 +454,10 @@ def test_canonical_dual_makes_one_n_by_n_svd_and_no_vdot(monkeypatch):
 
 
 def test_exact_commutation_takes_no_norm(monkeypatch):
-    """A commutator with no nonzero entry is 0.0 before any SVD; others keep the SVD value."""
-    from gfusion.analysis import _commutation_defect
+    """A commutator with no nonzero entry passes before any SVD; a failing one reports the SVD value."""
+    from gfusion.analysis import _commutation_failure
+    from gfusion.linalg import _defect_beyond
+    from gfusion.tolerances import TOL_COMM
 
     s = frame_operator(generic_family(3))
     n = s.shape[0]
@@ -464,10 +466,11 @@ def test_exact_commutation_takes_no_norm(monkeypatch):
     calls = []
     norm = np.linalg.norm
     monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
-    assert _commutation_defect(1.5 * np.eye(n), s) == 0.0
+    assert _commutation_failure(1.5 * np.eye(n), s, "they") is None
     assert calls == []
-    defect = _commutation_defect(skew, s)
-    assert defect > 0 and np.float64(defect).tobytes() == np.float64(expected).tobytes()
+    assert _commutation_failure(skew, s, "they") == f"they do not commute (defect {expected:.3e} > 1.000e-08)"
+    defect = _defect_beyond(skew @ s - s @ skew, TOL_COMM, skew, s)
+    assert defect > TOL_COMM and np.float64(defect).tobytes() == np.float64(expected).tobytes()
 
 
 # --------------------------------------------------------------- refused inputs

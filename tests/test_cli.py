@@ -416,6 +416,24 @@ def test_every_numeric_flag_refuses_a_non_finite_value(capsys, tmp_path, command
     assert option in out.err and "gfusion" in out.err.splitlines()[-1]
 
 
+@pytest.mark.parametrize("value", [["-1"], ["=-1e-300"]], ids=["separate", "joined"])
+@pytest.mark.parametrize("option", ["--tol-herm", "--tol-frame", "--tol-res"])
+@pytest.mark.parametrize("command", sorted(_RUNNABLE))
+def test_every_tolerance_flag_refuses_a_negative_value(capsys, tmp_path, command, option, value):
+    """A negative tolerance is an error (exit 1) naming the flag: it would fail exact zero defects and pass zero bounds."""
+    save_family(tmp_path / "A.json", ball_partition_example(3, 2, 1.5))
+    argv = [str(tmp_path / "A.json") if x == "A" else x for x in _RUNNABLE[command]]
+    tail = [f"{option}{value[0]}"] if value[0].startswith("=") else [option, *value]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, *tail])
+    out = capsys.readouterr()
+    assert exc.value.code == 1 and out.out == ""
+    number = value[0].lstrip("=")
+    assert out.err.splitlines()[-1] == (
+        f"gfusion {command}: error: argument {option}: expected a finite number >= 0, got '{number}'"
+    )
+
+
 def test_numeric_flags_are_found():
     found = {(command, option) for command, option, _ in _numeric_options()}
     assert {("bounds", "--weights"), ("multiplier", "--m-const"), ("perturb", "--simple"),
@@ -463,6 +481,16 @@ def test_unreadable_input_is_one_error_line(capsys, tmp_path, content, message):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("gfusion: error: ")
     assert message in lines[0] and str(path) in lines[0]
+
+
+def test_a_deeply_nested_document_is_one_error_line(capsys, tmp_path):
+    """JSON nested past the parser's recursion limit is a document error naming the path, not a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, rep, err = run_cli(capsys, "bounds", str(path))
+    assert code == 1 and rep is None
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"gfusion: error: {path}: nested too deeply to parse (")
 
 
 def test_unwritable_out_path_is_one_error_line(capsys, tmp_path):

@@ -58,7 +58,7 @@ def _constant(value):
 
 def test_each_hypothesis_is_decided_in_one_function():
     def compares_tol_comm(node):
-        return isinstance(node, ast.Compare) and any(
+        return (isinstance(node, ast.Compare) or _is_call(node, "_defect_beyond")) and any(
             isinstance(n, ast.Name) and n.id == "TOL_COMM" for n in ast.walk(node)
         )
 
@@ -89,8 +89,12 @@ def _function(name: str) -> ast.FunctionDef:
     return next(node for owner, node in _functions() if owner == name)
 
 
+def _is_call(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+
 def _calls(node, name: str) -> bool:
-    return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == name for n in ast.walk(node))
+    return any(_is_call(n, name) for n in ast.walk(node))
 
 
 def test_one_path_per_quantity():
@@ -106,24 +110,28 @@ def test_one_path_per_quantity():
     assert fraction_tests == []
 
 
-def test_tol_same_and_tol_orth_read_relative_defects():
-    """Each operator comparison against ``TOL_SAME`` or ``TOL_ORTH`` reads a ``_relative_defect`` value.
+def test_compare_only_defects_go_through_defect_beyond():
+    """Every test of a relative defect against a tolerance calls ``_defect_beyond``; exact SVD defects are printed ones.
 
-    The one other comparison is the scalar weight test of ``_require_same_weights``.
+    ``_relative_defect`` runs only as the fallback of ``_defect_beyond``, in ``herm_defect`` (printed by
+    ``spectral_summary``) and for the printed factorization residual of ``pair_sum_positivity``.  The one other
+    comparison against ``TOL_SAME`` is the scalar weight test of ``_require_same_weights``.
     """
-    compared = set()
-    for owner, fn in _functions():
-        defects = {
-            target.id for n in ast.walk(fn) if isinstance(n, ast.Assign) and _calls(n.value, "_relative_defect")
-            for target in n.targets if isinstance(target, ast.Name)
-        }
-        for n in ast.walk(fn):
-            names = {a.id for a in ast.walk(n) if isinstance(a, ast.Name)} if isinstance(n, ast.Compare) else set()
-            if names & {"TOL_SAME", "TOL_ORTH"}:
-                compared.add(owner)
-                if owner != "family._require_same_weights":
-                    assert isinstance(n.left, ast.Name) and n.left.id in defects, owner
-    assert compared == {"family._require_same_operator", "family._require_same_weights", "linalg.__post_init__"}
+    def tol_argument(*names):
+        return lambda n: _is_call(n, "_defect_beyond") and getattr(n.args[1], "id", None) in names
+
+    assert _owners(lambda n: _is_call(n, "_defect_beyond")) == {
+        "linalg.__post_init__", "linalg._hermitian_spectrum", "linalg.operator_sqrt",
+        "family._require_same_operator", "analysis._commutation_failure",
+    }
+    assert _owners(tol_argument("TOL_SAME", "TOL_ORTH")) == {"family._require_same_operator", "linalg.__post_init__"}
+    assert _owners(lambda n: isinstance(n, ast.Compare) and any(
+        isinstance(a, ast.Name) and a.id in ("TOL_SAME", "TOL_ORTH") for a in ast.walk(n)
+    )) == {"family._require_same_weights"}
+    assert _owners(lambda n: _is_call(n, "_relative_defect")) == {
+        "linalg._defect_beyond", "linalg.herm_defect", "pairs.pair_sum_positivity",
+    }
+    assert _owners(lambda n: _is_call(n, "herm_defect")) == {"linalg.spectral_summary"}
 
 
 # ------------------------------------------------------------- one error per hypothesis

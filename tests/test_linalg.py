@@ -2,8 +2,12 @@ import ast
 import re
 from pathlib import Path
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gfusion import (
@@ -22,7 +26,8 @@ from gfusion import (
     spectral_summary,
     transform_family,
 )
-from gfusion.linalg import _factor_range_basis, as_operator, as_vector
+from gfusion.linalg import _defect_beyond, _factor_range_basis, _frobenius, _relative_defect, as_operator, as_vector
+from gfusion.tolerances import TOL_COMM, TOL_HERM, TOL_ORTH, TOL_SAME
 from helpers import oracle_projection, unit_vectors
 
 
@@ -224,6 +229,93 @@ def test_subspace_rejects_overflowing_basis(entry):
 def test_from_vectors_names_an_overflowing_vector():
     with pytest.raises(DimensionError, match="vector 1 overflows"):
         Subspace.from_vectors([np.array([1.0, 0.0, 0.0]), np.array([1e200, 0.0, 0.0])])
+
+
+def _norm_calls(monkeypatch) -> list:
+    calls, norm = [], np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
+    return calls
+
+
+def test_an_orthonormalized_basis_is_checked_without_an_svd(monkeypatch):
+    rng = np.random.default_rng(0)
+    bases = [orthonormal_columns(rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))) for n, r in [(3, 1), (8, 3), (24, 24)]]
+    assert all((np.conj(b).T @ b - np.eye(b.shape[1])).any() for b in bases)  # each Gram residual is a rounding one
+    calls = _norm_calls(monkeypatch)
+    for b in bases:
+        Subspace(b)
+    assert calls == []
+
+
+def test_the_defect_bound_neither_underflows_nor_overflows():
+    """Unscaled squares would vanish (1e-170) or overflow (1e200) and pass both; the SVD defects fail them."""
+    a = np.eye(2)
+    a[0, 1] = 1e-170
+    assert not is_positive(a, 1e-300)
+    assert not is_positive(1e200 * np.array([[2.0, 1.0], [0.0, 2.0]]), 1e-8)
+
+
+def test_an_exactly_zero_defect_is_compared_without_an_svd(monkeypatch):
+    calls = _norm_calls(monkeypatch)
+    z = np.zeros((3, 3))
+    assert _defect_beyond(z, 0.0, np.eye(3)) is None
+    assert _defect_beyond(z, -1.0) == 0.0
+    assert calls == []
+
+
+def _draw(rng, shape, k: int, extreme: bool, flat: bool) -> np.ndarray:
+    """A random complex matrix times ``2**k``; ``extreme`` makes a bound inequality an equality.
+
+    A flat one (a scale) has equal singular values, so ``norm = fro / sqrt(min(shape))``; any other
+    extreme one (``x``) has rank one, so ``norm = fro``.
+    """
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if extreme and flat:
+        z = orthonormal_columns(z) if shape[0] >= shape[1] else orthonormal_columns(z.T).T
+    elif extreme:
+        z = np.outer(z[:, 0], z[0])
+    return z * 2.0**k
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    exponents=st.lists(st.integers(-1000, 1000), min_size=1, max_size=3),
+    extreme=st.booleans(),
+    tol=st.sampled_from([0.0, 1e-300, TOL_SAME, TOL_ORTH, TOL_HERM, TOL_COMM]),
+    anchor=st.sampled_from(["defect", "bound"]),
+    ratio=st.floats(0.25, 4.0),
+)
+def test_the_defect_bound_decides_as_the_svd_defect(seed, exponents, extreme, tol, anchor, ratio):
+    """``_defect_beyond`` is ``None`` exactly when the SVD defect is within ``tol``, else that defect's bits.
+
+    ``x`` and up to two scales are random complex matrices of random shapes, scaled by ``2**k``; ``x`` is then
+    rescaled so that either its SVD defect or its Frobenius norm sits at ``ratio`` times its threshold.
+    """
+    rng = np.random.default_rng(seed)
+    shapes = rng.integers(1, 6, size=(len(exponents), 2))
+    x, *scale = [_draw(rng, shape, k, extreme, flat=i > 0) for i, (shape, k) in enumerate(zip(shapes, exponents))]
+    if anchor == "defect":
+        reference, target = _relative_defect(x, *scale), tol * ratio
+    else:
+        bound = math.prod(_frobenius(s) / math.sqrt(min(s.shape)) for s in scale)
+        reference, target = _frobenius(x), tol * max(1.0, bound) / 2 * ratio
+    if reference > 0:
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            moved = x * (target / reference)
+        if np.isfinite(moved).all() and moved.any():
+            x = moved
+    exact = _relative_defect(x, *scale)
+    beyond = _defect_beyond(x, tol, *scale)
+    assert (beyond is None) == (exact <= tol)
+    assert beyond is None or np.float64(beyond).tobytes() == np.float64(exact).tobytes()
+
+
+def test_the_defect_bound_divides_each_scale_by_the_root_of_its_rank():
+    """A rank-one ``x`` against ``4 I_5``: its defect 1.1e-8 fails, though ``fro(x) <= TOL_COMM * fro(4 I_5) / 2``."""
+    x = np.zeros((5, 5))
+    x[0, 0] = 4.4e-8
+    assert _defect_beyond(x, TOL_COMM, 4.0 * np.eye(5)) == pytest.approx(1.1e-8, rel=1e-12)
 
 
 def test_factor_range_basis_holds_every_factor_range():

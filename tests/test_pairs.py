@@ -40,6 +40,17 @@ def parseval_pair(n=3):
 
 # ----------------------------------------------------------- pair operator
 
+def test_positivity_takes_only_the_norms_of_the_printed_residual(monkeypatch):
+    """Scalar controls commute exactly and both positivity tests settle on the bound: two SVDs, those of the residual."""
+    fam = lowrank_family(0, 8)
+    pair = BesselPair(fam, fam)
+    calls, norm = [], np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
+    rep = pair_sum_positivity(pair)
+    assert rep.verdict == "pass" and rep.factorization_residual > 0
+    assert len(calls) == 2
+
+
 def test_pair_collapses_to_frame_operator():
     fam = _equal_control_family(0)
     pair = BesselPair(fam, fam)

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gfusion
 from gfusion import (
     BesselPair,
     GFusionError,
@@ -301,3 +302,55 @@ def test_loosening_a_tolerance_never_turns_a_pass_into_a_failure(kind, seed, ske
     if codes[0] == 0:
         assert codes[1] == 0, (command, codes)
 
+
+
+# ------------------------------------------------------------ a tolerance is finite and >= 0
+
+_TOLERANCE_KEYWORDS = {"tol", "tol_herm", "tol_frame", "tol_res"}
+
+
+def _with_frame(call):
+    return lambda **kw: call(diag_family(0, equal_controls=True), **kw)
+
+
+_TOLERANCE_TAKERS = {
+    "BesselPair": _with_frame(lambda f, **kw: BesselPair(f, f, **kw)),
+    "canonical_resolutions": _with_frame(canonical_resolutions),
+    "dual_resolution_bounds": _with_frame(dual_resolution_bounds),
+    "frame_operator": _with_frame(frame_operator),
+    "is_positive": lambda **kw: gfusion.is_positive(np.eye(2), **kw),
+    "is_resolution": _with_frame(lambda f, **kw: gfusion.is_resolution(canonical_resolutions(f).left, **kw)),
+    "operator_sqrt": lambda **kw: gfusion.operator_sqrt(np.eye(2), **kw),
+    "optimal_bounds": _with_frame(optimal_bounds),
+    "pair_bounded_below": _with_frame(lambda f, **kw: gfusion.pair_bounded_below(BesselPair(f, f), **kw)),
+    "pair_sum_positivity": _with_frame(lambda f, **kw: gfusion.pair_sum_positivity(BesselPair(f, f), **kw)),
+    "perturb_check": _with_frame(lambda f, **kw: perturb_check(f, f, PerturbationParams(0.1, 0.0, 0.0), **kw)),
+    "require_valid": _with_frame(gfusion.require_valid),
+    "validate": _with_frame(gfusion.validate),
+}
+
+
+def _public_tolerance_keywords() -> list[tuple[str, str]]:
+    """``(name, keyword)`` for every tolerance keyword of a public function or class of the package (reports aside)."""
+    found = []
+    for name, obj in sorted(vars(gfusion).items()):
+        if name.startswith("_") or not callable(obj) or not getattr(obj, "__module__", "").startswith("gfusion"):
+            continue
+        if isinstance(obj, type) and (issubclass(obj, Exception) or name.endswith("Report")):
+            continue  # a report records the tolerance it was decided under
+        found += [(name, p) for p in inspect.signature(obj).parameters if p in _TOLERANCE_KEYWORDS]
+    return found
+
+
+def test_every_public_tolerance_keyword_is_covered():
+    assert {name for name, _ in _public_tolerance_keywords()} == set(_TOLERANCE_TAKERS)
+
+
+@pytest.mark.parametrize("value", [-1e-300, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("name, keyword", _public_tolerance_keywords())
+def test_every_public_tolerance_keyword_refuses_a_negative_or_non_finite_value(name, keyword, value):
+    """A negative tolerance fails even an exact zero defect and lets ``tol_frame`` pass a zero bound."""
+    call = _TOLERANCE_TAKERS[name]
+    call(**{keyword: 0.0})
+    with pytest.raises(ValueError, match=rf"^{keyword} must be a finite number >= 0, got {value!r}$"):
+        call(**{keyword: value})
