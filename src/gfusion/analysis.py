@@ -33,7 +33,9 @@ from .errors import (
     PairingError,
     ValidationError,
 )
-from .family import ControlledFamily, FrameReport, _require_aligned, _require_real, replace_controls, require_valid
+from .family import (
+    ControlledFamily, FrameReport, _distinct_controls, _require_aligned, _require_real, replace_controls, require_valid,
+)
 from .linalg import (
     Subspace,
     _defect_beyond,
@@ -386,8 +388,7 @@ def _require_commuting(op: np.ndarray, family: ControlledFamily, name: str) -> N
 
     The error names the control.
     """
-    controls = family.controls[:1] if np.array_equal(*family.controls) else family.controls
-    for side, control in zip(("left", "right"), controls):
+    for side, control in zip(("left", "right"), _distinct_controls(family)):
         _raise_failure(_commutation_failure(op, control, f"{name} and the {side} control"))
 
 

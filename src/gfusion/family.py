@@ -106,6 +106,11 @@ class ControlledFamily:
         return (self.control_left, self.control_right)
 
 
+def _distinct_controls(family: ControlledFamily) -> tuple[np.ndarray, ...]:
+    """``(T, U)``, or ``(T,)`` when ``U`` repeats ``T`` entrywise, so that a repeated control is tested once."""
+    return family.controls[:1] if np.array_equal(*family.controls) else family.controls
+
+
 def replace_controls(family: ControlledFamily, left, right) -> ControlledFamily:
     """Same atoms, different control pair."""
     return replace(family, control_left=as_operator(left), control_right=as_operator(right))
@@ -165,16 +170,16 @@ class FamilyDiagnostics:
 def validate(family: ControlledFamily, tol_herm: float = TOL_HERM) -> FamilyDiagnostics:
     """Check the structural hypotheses on a controlled family.
 
-    Controls must be positive with a bounded inverse, both read from one eigenvalue
-    solve per control: within ``tol_herm`` of Hermitian, its absolute eigenvalues
-    are its singular values; otherwise it is not positive, and not tested further.
+    Controls must be positive with a bounded inverse, both read from one eigenvalue solve per control (one
+    for a repeated control, whose failures are listed for both sides): within ``tol_herm`` of Hermitian, its
+    absolute eigenvalues are its singular values; otherwise it is not positive, and not tested further.
     Subspace bases need no check here: :class:`Subspace` rejects a non-orthonormal
     basis when it is built and keeps a read-only copy.
     """
     _require_tolerances(tol_herm=tol_herm)
     failures: list[str] = []
-    for name, c in (("left control", family.control_left), ("right control", family.control_right)):
-        w = _hermitian_spectrum(c, tol_herm)
+    spectra = [_hermitian_spectrum(c, tol_herm) for c in _distinct_controls(family)]
+    for name, w in (("left control", spectra[0]), ("right control", spectra[-1])):
         if w is None or not w[0] >= -tol_herm:
             failures.append(f"{name} is not positive within tolerance")
         if w is not None and _singular(np.abs(w)):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NotPositiveError, SingularOperatorError
-from .tolerances import DROP_TOL, MAX_DIM, TOL_ORTH, TOL_PD, TOL_SING_REL, _require_tolerances
+from .tolerances import MAX_DIM, TOL_ORTH, TOL_PD, TOL_SING_REL, _require_tolerances
 
 __all__ = [
     "SpectralSummary",
@@ -41,7 +41,6 @@ __all__ = [
     "operator_norm",
     "operator_sqrt",
     "orthonormal_columns",
-    "overflowing_column",
     "spectral_summary",
 ]
 
@@ -214,9 +213,14 @@ def _hermitian_spectrum(a: np.ndarray, tol: float) -> np.ndarray | None:
     return hermitian_eigenvalues(hermitian_part(a))
 
 
+def _rank(s: np.ndarray) -> int:
+    """The one rank rule, scale-free (Golub & Van Loan 5.4.1): how many of ``s`` exceed ``TOL_SING_REL * max(s)``."""
+    return int(np.count_nonzero(s > TOL_SING_REL * s.max()))
+
+
 def _singular(s: np.ndarray) -> bool:
     """The one singularity test, on singular values ``s`` in any order: ``sigma_min <= TOL_SING_REL * sigma_max``."""
-    return bool(s.min() <= TOL_SING_REL * s.max())
+    return _rank(s) < s.size
 
 
 def is_positive(a: np.ndarray, tol: float = TOL_PD) -> bool:
@@ -308,28 +312,16 @@ def _factor_range_basis(factors) -> np.ndarray | None:
     return _lapack("qr", np.conj(stack).T)[0]
 
 
-def overflowing_column(cols: np.ndarray) -> int | None:
-    """Index of the first column whose squared norm is not a finite double, or ``None``.
-
-    Orthonormalizing squares each norm, so such a column cannot be orthonormalized.
-    """
-    with np.errstate(over="ignore"):
-        squared = (np.abs(cols) ** 2).sum(axis=0)
-    bad = np.flatnonzero(~np.isfinite(squared))
-    return int(bad[0]) if bad.size else None
-
-
 def orthonormal_columns(m: np.ndarray) -> np.ndarray:
     """An orthonormal basis of the column span of ``m``.
 
-    The left singular vectors of one thin SVD whose singular values exceed
-    ``DROP_TOL``, so the rank is revealed whatever the order of the columns.
+    The left singular vectors of one thin SVD, as many as its :func:`_rank`, whatever the order and overall scale
+    of the columns.  They are not rescaled one by one here: that would change the singular vectors.
     """
     u, s, _ = _lapack("svd", as_operator(m), full_matrices=False)
-    rank = int(np.count_nonzero(s > DROP_TOL))
-    if not rank:
+    out = u[:, :_rank(s)]
+    if not out.shape[1]:
         raise DimensionError("no linearly independent columns survived orthonormalization")
-    out = u[:, :rank]
     out.setflags(write=False)
     return out
 
@@ -370,12 +362,14 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors) -> "Subspace":
-        """Build a subspace from spanning vectors (columns), orthonormalizing them."""
-        cols = np.column_stack([np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors])
-        j = overflowing_column(cols)
-        if j is not None:
-            raise DimensionError(f"vector {j} overflows: its squared norm is not a finite double")
-        return cls(orthonormal_columns(cols))
+        """The span of ``vectors``, each first divided by its largest real or imaginary part (zero ones are dropped).
+
+        That divisor never overflows, unlike a norm, so a span does not depend on the scale of any one vector; the
+        parts are divided as reals, since a complex division by a subnormal divisor overflows."""
+        cols = as_operator(np.column_stack([np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]))
+        top = np.maximum(np.abs(cols.real), np.abs(cols.imag)).max(axis=0)
+        top[top == 0.0] = 1.0  # a zero vector stays zero
+        return cls(orthonormal_columns(cols.real / top + 1j * (cols.imag / top)))
 
     @classmethod
     def full(cls, n: int) -> "Subspace":

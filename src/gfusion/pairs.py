@@ -22,7 +22,7 @@ from .family import (
     _require_real,
     _require_same_operator,
 )
-from .linalg import _inverse, _relative_defect, _singular_values, adjoint, is_positive, operator_norm
+from .linalg import _inverse, _relative_defect, _singular, _singular_values, adjoint, is_positive, operator_norm
 from .tolerances import TOL_FACT, TOL_FRAME, TOL_HERM, TOL_RES, TOL_SLACK, TOL_SWAP, _require_tolerances
 
 __all__ = [
@@ -180,7 +180,7 @@ def pair_bounded_below(
     s = pair_frame_operator(pair)
     sv = _singular_values(s)  # one SVD gives sigma_min and the singularity test of the inverse
     smin = float(sv[-1])
-    if smin <= tol_frame:
+    if smin <= tol_frame or _singular(sv):
         return PairBoundedBelowReport(False, smin, None, False, None, False)
     k = _inverse(s, sv)
     # The weighted atom terms K U P_Gi Gam_i* Lam_i P_Fi T sum to K times the pair operator.

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DimensionError, FamilyDocumentError
 from .family import ControlledFamily, MeasureAtom, MultiplierSymbol
-from .linalg import Subspace, orthonormal_columns, overflowing_column
+from .linalg import Subspace
 from .tolerances import MAX_DIM
 
 __all__ = [
@@ -129,13 +129,12 @@ def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
 
 
 def _parse_subspace(value, dim: int, where: str) -> Subspace:
-    cols = _parse_matrix(value, where, rows="basis vectors", width=dim).T
-    if overflowing_column(cols) is not None:
-        raise FamilyDocumentError(f"{where}: a squared vector norm is too large for a double")
+    """The stored basis vectors (rows), kept if orthonormal, else spanned by :meth:`Subspace.from_vectors`."""
+    vectors = _parse_matrix(value, where, rows="basis vectors", width=dim)
     try:
-        return Subspace(cols)  # already orthonormal: keep the stored values
+        return Subspace(vectors.T)  # already orthonormal: keep the stored values
     except DimensionError:
-        return Subspace(orthonormal_columns(cols))
+        return Subspace.from_vectors(vectors)
 
 
 def _parse_symbol(value, count: int) -> list[complex]:

@@ -17,7 +17,8 @@ and ``tol`` of ``is_positive`` and ``operator_sqrt`` (``TOL_PD``).  Each
 must be a finite number ``>= 0`` (:func:`_require_tolerances`).
 ``TOL_COMM`` (reports print it as ``tol_comm``; compared in
 ``analysis._commutation_failure`` only), ``TOL_DUAL``, ``TOL_SLACK``,
-``TOL_FACT``, ``TOL_SWAP`` and the rest are fixed.
+``TOL_FACT``, ``TOL_SWAP`` and the rest are fixed; ``TOL_SING_REL`` is the one
+rank rule of every singularity test and orthonormalization (``linalg._rank``).
 
 A relative defect that is only compared with ``TOL_HERM`` (or ``tol``),
 ``TOL_COMM``, ``TOL_SAME`` or ``TOL_ORTH`` is settled by
@@ -30,14 +31,13 @@ import math
 
 TOL_HERM = 1e-8       # relative Hermiticity defect allowed before a form counts as non-real
 TOL_PD = 1e-10        # absolute eigenvalue slack in positivity tests
-TOL_SING_REL = 1e-12  # singularity threshold, relative to the operator norm
+TOL_SING_REL = 1e-12  # singularity and rank: singular values at or below it times sigma_max count as zero
 TOL_ORTH = 1e-10      # orthonormality defect allowed in stored subspace bases
 TOL_FRAME = 1e-10     # the lower optimal bound must exceed this for a frame verdict
 TOL_COMM = 1e-8       # relative commutation defect allowed by checked hypotheses
 TOL_RES = 1e-8        # residual norm allowed for a resolution of the identity
 TOL_DUAL = 1e-8       # identity residual for cross-duality composites
 TOL_SAME = 1e-12      # relative difference below which two weights or operators count as the same
-DROP_TOL = 1e-12      # singular values at or below it are dropped when orthonormalizing (rank reveal)
 TOL_SLACK = 1e-9      # absolute slack of every certified-vs-computed bound or norm comparison
 TOL_FACT = 1e-9       # relative factorization residual of the controlled pair sum
 TOL_SWAP = 1e-10      # adjoint-swap residual of the pair operator, relative to max(1, its norm)

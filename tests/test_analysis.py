@@ -36,6 +36,7 @@ from helpers import (
     oracle_frame_operator,
     oracle_gram,
     oracle_plain_operator,
+    scale_local_ops,
     unit_vectors,
 )
 
@@ -314,6 +315,18 @@ def test_canonical_dual_requires_frame():
     fam = ball_partition_example(3.0, 2.0, 1.5, reading="literal")
     with pytest.raises(NotAFrameError):
         canonical_dual(fam)
+
+
+@pytest.mark.parametrize("k", [20, 30, 40])
+def test_the_dual_keeps_every_subspace_at_any_scale(k):
+    """Scaling the local operators by ``2**k`` scales ``S^-1`` by ``2**-2k``; each transported basis keeps its
+    dimension (the rank rule is relative), and the dual's bounds stay the reciprocals of the family's."""
+    fam = scale_local_ops(diag_family(0, equal_controls=True), 2.0**k)
+    dual = canonical_dual(fam)
+    assert [a.subspace.dim for a in dual.atoms] == [a.subspace.dim for a in fam.atoms]
+    rep, rep_dual = optimal_bounds(fam), optimal_bounds(dual)
+    assert rep.A_opt * rep_dual.B_opt == pytest.approx(1.0, abs=1e-9)
+    assert rep.B_opt * rep_dual.A_opt == pytest.approx(1.0, abs=1e-9)
 
 
 def test_dual_inverse_spectrum_bounds():

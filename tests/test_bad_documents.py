@@ -82,18 +82,16 @@ def _huge_int(draw):
 
 @st.composite
 def _huge_float(draw):
-    """A finite entry that makes the family invalid.  A huge ``weight``, or a ``lambda``
-    entry off the atom's subspace, leaves a valid family and is not drawn."""
+    """A finite entry that makes the family invalid.  A huge ``weight``, a ``lambda``
+    entry off the atom's subspace, or a huge ``subspace`` entry (its vector is rescaled
+    before it is orthonormalized) leaves a valid family and is not drawn."""
     value = draw(st.sampled_from([1e200, 1e308]))
     i = draw(st.sampled_from(ATOMS))
-    kind = draw(st.sampled_from(["lambda", "v", "subspace", "control"]))
+    kind = draw(st.sampled_from(["lambda", "v", "control"]))
     if kind == "lambda":  # its square overflows the frame operator term
         return ("atoms", i, "lambda", draw(st.integers(0, N - 1)), i), value, f"'B{i + 1}'"
     if kind == "v":  # v**2 overflows
         return ("atoms", i, "v"), value, f"'B{i + 1}'"
-    if kind == "subspace":  # the squared norm of the spanning vector overflows
-        path = draw(_subspace_entries)
-        return path, value, f"{_matrix_name(path)}: a squared vector norm is too large for a double"
     path = draw(_control_entries)  # not Hermitian, or numerically singular
     return path, value, CONTROL_NAMES[path[1]]
 
@@ -197,6 +195,21 @@ def test_a_bad_document_is_one_error_line_naming_its_entry(mutated):
             lines = err.splitlines()
             assert (code, out) == (1, ""), (argv, out)
             assert len(lines) == 1 and lines[0].startswith("gfusion: error: ") and named in lines[0], (argv, err)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e308, 1e-300])
+@pytest.mark.parametrize("i", ATOMS)
+def test_a_scaled_subspace_vector_prints_the_same_bounds(i, scale):
+    """Atom ``i`` spans ``e_i``; stored as ``scale * e_i`` it spans the same line, so ``bounds`` prints the same bytes."""
+    doc = copy.deepcopy(BASE)
+    doc["atoms"][i]["subspace"][0][i] = scale
+    with tempfile.TemporaryDirectory() as tmp:
+        good, scaled = Path(tmp) / "P.json", Path(tmp) / "S.json"
+        good.write_text(json.dumps(BASE))
+        scaled.write_text(json.dumps(doc))
+        expected = _run(["bounds", good])
+        assert expected[0] == 0 and '"verdict": "frame"' in expected[1]
+        assert _run(["bounds", scaled]) == expected
 
 
 def _edit(change):

@@ -11,7 +11,10 @@ import pytest
 
 from gfusion import (
     BesselPair,
+    ControlledFamily,
+    MeasureAtom,
     MultiplierSymbol,
+    Subspace,
     ball_partition_example,
     canonical_dual,
     canonical_json,
@@ -182,6 +185,19 @@ def test_pair_bounded_below_dual_pair(capsys, tmp_path):
     code, rep, _ = run_cli(capsys, "pair", pa, pb, "bounded-below")
     assert code == 0
     assert rep["bounded_below"] and rep["resolution_ok"]
+
+
+def test_pair_bounded_below_of_a_numerically_singular_pair_is_a_verdict(capsys, tmp_path):
+    """``S_FF = diag(1e4, 5e-9)``: ``sigma_min`` clears ``tol_frame``, but ``sigma_min / sigma_max = 5e-13`` is singular."""
+    atoms = tuple(
+        MeasureAtom(f"a{i}", 1.0, 1.0, Subspace.coordinate(2, [i]), np.sqrt(scale) * np.eye(2)[i:i + 1])
+        for i, scale in enumerate([1e4, 5e-9])
+    )
+    path = tmp_path / "f.json"
+    save_family(path, ControlledFamily(2, atoms, np.eye(2), np.eye(2)))
+    code, rep, err = run_cli(capsys, "pair", str(path), str(path), "bounded-below")
+    assert (code, rep["verdict"], rep["bounded_below"], err) == (2, "fail", False, "")
+    assert rep["sigma_min"] == pytest.approx(5e-9)
 
 
 def test_pair_positivity(capsys, tmp_path):

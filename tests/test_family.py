@@ -107,6 +107,22 @@ def test_validate_reads_each_control_from_one_eigenvalue_solve(monkeypatch):
     assert calls == ["eigvalsh", "eigvalsh"]
 
 
+@pytest.mark.parametrize("control, failure", [
+    (np.eye(2), None),
+    (-np.eye(2), "not positive within tolerance"),
+    (np.diag([1.0, 1e-13]), "not invertible"),
+], ids=["valid", "not-positive", "singular"])
+def test_validate_reads_a_repeated_control_once(monkeypatch, control, failure):
+    """``T == U`` takes one ``eigvalsh``; a failure is still listed for both sides."""
+    fam = ControlledFamily(2, _one_atom_family().atoms, control, control.copy())
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or eigvalsh(*a, **k))
+    diag = validate(fam)
+    assert len(calls) == 1
+    assert diag.failures == (() if failure is None else (f"left control is {failure}", f"right control is {failure}"))
+
+
 @pytest.mark.parametrize("control, invertible", [(1e-13 * np.eye(2), True), (np.diag([1.0, 1e-13]), False)])
 def test_validate_and_inverse_share_one_singularity_test(control, invertible):
     """Singularity is relative to the largest singular value, in validation as in ``inverse``."""

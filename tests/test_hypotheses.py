@@ -134,6 +134,23 @@ def test_compare_only_defects_go_through_defect_beyond():
     assert _owners(lambda n: _is_call(n, "herm_defect")) == {"linalg.spectral_summary"}
 
 
+def test_one_rank_rule():
+    """Every singular-value decision reads ``TOL_SING_REL`` through ``linalg._rank``; no absolute drop rule is left.
+
+    ``pair_bounded_below`` reports a numerically singular pair operator before ``_inverse`` could raise on it,
+    and a repeated control is recognized in one function.
+    """
+    assert _owners(lambda n: isinstance(n, ast.Name) and n.id == "TOL_SING_REL" and isinstance(n.ctx, ast.Load)) == {
+        "linalg._rank",
+    }
+    gone = ("DROP_TOL", "overflowing_column")
+    assert [p.name for p in sorted(SRC.glob("*.py")) if any(name in p.read_text() for name in gone)] == []
+    body = _function("pairs.pair_bounded_below")
+    first_line = {name: min(n.lineno for n in ast.walk(body) if _is_call(n, name)) for name in ("_singular", "_inverse")}
+    assert first_line["_singular"] < first_line["_inverse"]
+    assert _owners(lambda n: isinstance(n, ast.Attribute) and n.attr == "array_equal") == {"family._distinct_controls"}
+
+
 # ------------------------------------------------------------- one error per hypothesis
 
 _PAIRED = {

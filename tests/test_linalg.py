@@ -226,9 +226,29 @@ def test_subspace_rejects_overflowing_basis(entry):
         Subspace(np.array([[entry], [0.0], [0.0]]))
 
 
-def test_from_vectors_names_an_overflowing_vector():
-    with pytest.raises(DimensionError, match="vector 1 overflows"):
-        Subspace.from_vectors([np.array([1.0, 0.0, 0.0]), np.array([1e200, 0.0, 0.0])])
+def test_from_vectors_spans_a_huge_vector():
+    e0, e1, _ = np.eye(3)
+    assert Subspace.from_vectors([e0, 1e200 * e0]).dim == 1
+    assert Subspace.from_vectors([e0, 1e200 * e1]).dim == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-1000, 1000), min_size=7, max_size=7), st.integers(0, 2**32 - 1))
+def test_from_vectors_does_not_depend_on_the_scale_of_each_vector(ks, seed):
+    """Each vector scaled by its own ``2**k``: ``[a, 2a, b, 0]`` spans ``span{a, b}`` (the zero vector is dropped),
+    and three generic vectors span three dimensions."""
+    rng = np.random.default_rng(seed)
+    a, b, *generic = (rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(5))
+    s = Subspace.from_vectors([2.0**k * v for k, v in zip(ks, [a, 2 * a, b, np.zeros(5)])])
+    q = np.linalg.qr(np.column_stack([a, b]))[0]
+    assert s.dim == 2
+    assert operator_norm(oracle_projection(_atom(s)) - q @ q.conj().T) < 1e-12
+    assert Subspace.from_vectors([2.0**k * v for k, v in zip(ks[4:], generic)]).dim == 3
+
+
+def test_from_vectors_of_zero_vectors_is_refused():
+    with pytest.raises(DimensionError, match="^no linearly independent columns survived orthonormalization$"):
+        Subspace.from_vectors([np.zeros(3), np.zeros(3)])
 
 
 def _norm_calls(monkeypatch) -> list:
