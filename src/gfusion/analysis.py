@@ -49,7 +49,7 @@ from .linalg import (
     orthonormal_columns,
     spectral_summary,
 )
-from .tolerances import TOL_COMM, TOL_DUAL, TOL_FRAME, TOL_HERM, TOL_PD, TOL_SLACK, _require_tolerances
+from .tolerances import TOL_COMM, TOL_FRAME, TOL_HERM, TOL_PD, TOL_RES, TOL_SLACK, _require_tolerances
 
 __all__ = [
     "CoefficientBundle",
@@ -159,7 +159,7 @@ def frame_operator(family: ControlledFamily, *, tol_herm: float = TOL_HERM) -> n
     """
     require_valid(family, tol_herm)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite S is rejected just below
-        s = adjoint(family.control_left) @ plain_frame_operator(family) @ family.control_right
+        s = _controlled_sum(family, *family.controls)
         if not np.isfinite(s).all():
             raise ValidationError([_non_finite_term(family)])
     return s
@@ -177,6 +177,11 @@ def _non_finite_term(family: ControlledFamily) -> str:
 def plain_frame_operator(family: ControlledFamily) -> np.ndarray:
     """The uncontrolled sum ``sum_i w_i v_i^2 Y_i* Y_i``, Hermitian PSD by construction: the core of ``S``."""
     return atom_sum(family.dim, _gram_terms(family))
+
+
+def _controlled_sum(family: ControlledFamily, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left* S_plain right``: ``S`` at the control pair, and every resolution sum at its own pair."""
+    return adjoint(left) @ plain_frame_operator(family) @ right
 
 
 def optimal_bounds(
@@ -494,7 +499,8 @@ def cross_duality_check(fam_a: ControlledFamily, fam_b: ControlledFamily) -> Cro
     coefficient maps and compares it with the identity.  If they match, each
     family is certified to have a lower bound equal to the reciprocal of the
     other's upper bound, and those certificates are checked against the
-    computed optimal bounds.  The composite may differ from the identity by ``TOL_DUAL``.
+    computed optimal bounds.  The composite is a resolution of the identity,
+    so it may differ from the identity by ``TOL_RES``.
     """
     bounds_a = optimal_bounds(fam_a)
     bounds_b = optimal_bounds(fam_b)
@@ -507,7 +513,7 @@ def cross_duality_check(fam_a: ControlledFamily, fam_b: ControlledFamily) -> Cro
         root_b = _atom_root(fam_b, b)
         composite += a.weight * a.frame_weight * b.frame_weight * (root_b @ root_a)
     residual = operator_norm(composite - np.eye(fam_a.dim))
-    is_identity = residual <= TOL_DUAL
+    is_identity = residual <= TOL_RES
     cert_a = cert_b = None
     ok_a = ok_b = False
     if is_identity:

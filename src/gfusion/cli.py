@@ -80,11 +80,11 @@ def _family_source_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("file", nargs="?", default=None, help="family document (JSON)")
     parser.add_argument("--builtin", choices=BUILTIN_NAMES, default=None,
                         help="use a builtin family instead of a file")
-    parser.add_argument("--reading", choices=("consistent", "literal"), default="consistent",
-                        help="subspace assignment used by the builtin family")
-    parser.add_argument("--weights", type=_finite, nargs=3, default=(3.0, 2.0, 1.5),
+    parser.add_argument("--reading", choices=("consistent", "literal"), default=None,
+                        help="subspace assignment used by the builtin family (default: consistent)")
+    parser.add_argument("--weights", type=_finite, nargs=3, default=None,
                         metavar=("MU1", "MU2", "MU3"),
-                        help="cell masses for the builtin family")
+                        help="cell masses for the builtin family (default: 3 2 1.5)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,9 +148,12 @@ def _load_single(args) -> tuple[ControlledFamily, MultiplierSymbol | None]:
         if args.file is not None:
             raise GFusionError("give either a file or --builtin, not both")
         try:
-            return ball_partition_example(*args.weights, reading=args.reading), None
+            return ball_partition_example(*(args.weights or (3.0, 2.0, 1.5)), args.reading or "consistent"), None
         except ValueError as exc:  # the cell masses are out of order or not above 1
             raise GFusionError(f"--weights: {exc}") from None
+    builtin_only = [flag for flag in ("--reading", "--weights") if getattr(args, flag[2:]) is not None]
+    if builtin_only:
+        raise GFusionError(f"{' and '.join(builtin_only)} cannot be used with a family document, only with --builtin")
     if args.file is None:
         raise GFusionError("no input: give a family document or --builtin")
     return load_family(args.file)
@@ -224,12 +227,13 @@ def cmd_multiplier(args) -> dict:
     pair = BesselPair(fam_a, fam_b, tol_frame=args.tol_frame, tol_herm=args.tol_herm)
     if args.m_const is not None:
         symbol = MultiplierSymbol.constant(args.m_const, len(fam_a.atoms))
-    elif m_a is not None:
-        symbol = m_a
-    elif m_b is not None:
-        symbol = m_b
     else:
-        raise GFusionError("no symbol: pass --m-const or provide an 'm' array in a family document")
+        given = [m for m in (m_a, m_b) if m is not None]
+        if not given:
+            raise GFusionError("no symbol: pass --m-const or provide an 'm' array in a family document")
+        if given[0] != given[-1]:
+            raise GFusionError(f"{args.file_a} and {args.file_b} carry different symbols 'm'; pass --m-const")
+        symbol = given[0]
     rep = multiplier_frame_criterion(symbol, pair)
     return _base_report(
         args,

@@ -1,19 +1,24 @@
 """Resolutions of the identity built from controlled families.
 
 For atomic measures the weak, form-level identity defining a resolution is
-equivalent to the operator identity ``sum_i weight_i T_i = I``, which is
-what gets tested: it is exact and basis-free.
+equivalent to the operator identity ``sum_i T_i = I``, which is what gets
+tested: it is exact and basis-free.  Every resolution here is a family
+between two operators ``(A, B)``, with terms
+``T_i = A* (w_i v_i^2 P_i Lambda_i* Lambda_i P_i) B``, so its sum is
+``A* S_plain B`` from the family's one uncontrolled sum ``S_plain``:
+``(L, R S^-1)`` and ``(L S^-*, R)`` for the canonical resolutions,
+``(L, S^-1 R)`` for the dual atoms, and ``(T, U)`` for
+:func:`resolution_implies_frame`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import _frame_inverse, _require_commuting, atom_factor, atom_sum, optimal_bounds
+from .analysis import _controlled_sum, _frame_inverse, _require_commuting, optimal_bounds
 from .errors import DimensionError
 from .family import ControlledFamily, _require_real, _require_same_operator, replace_controls
 from .linalg import adjoint, as_operator, hermitian_eigenvalues, hermitian_part, inverse, operator_norm
@@ -32,71 +37,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class OperatorFamily:
-    """Weighted operators ``X_i* Y_i`` on a common space, kept as read-only ``d_i x n`` factor pairs.
+    """The terms ``T_i = A* (w_i v_i^2 P_i Lambda_i* Lambda_i P_i) B`` of ``family`` between ``A = left``, ``B = right``.
 
-    Memory is ``O(atoms d n)`` and the weighted sum is one :func:`~gfusion.analysis.atom_sum`.
-    ``OperatorFamily(terms, weights)`` takes finite square matrices, each kept as the pair
-    ``(I, t)``, and finite positive weights.
+    Every resolution the package builds has this form, so it keeps only the family and the two
+    ``n x n`` operators, coerced to finite read-only copies: memory is ``O(n^2)`` beyond the family.
+    The sum ``sum_i T_i`` is ``A* S_plain B``, with ``S_plain`` the family's uncontrolled sum
+    (:func:`~gfusion.analysis.plain_frame_operator`), formed as the frame operator ``S = L* S_plain R`` is.
     """
 
-    factors: tuple[tuple[np.ndarray, np.ndarray], ...]
-    weights: tuple[float, ...]
+    family: ControlledFamily
+    left: np.ndarray
+    right: np.ndarray
 
-    def __init__(self, terms, weights):
-        terms = tuple(as_operator(t) for t in terms)
-        if not terms:
-            raise ValueError("an operator family needs at least one term")
-        n = terms[0].shape[0]
-        if any(t.shape != (n, n) for t in terms):
-            raise DimensionError("terms must be square and share one shape")
-        eye = as_operator(np.eye(n))
-        self._set(tuple((eye, t) for t in terms), weights)
-
-    @classmethod
-    def _from_factors(cls, factors, weights) -> "OperatorFamily":
-        """Pairs computed from a checked family, frozen in place rather than copied."""
-        for pair in factors:
-            for f in pair:
-                f.setflags(write=False)
-        fam = cls.__new__(cls)
-        fam._set(tuple(factors), weights)
-        return fam
-
-    def _set(self, factors, weights) -> None:
-        weights = tuple(float(w) for w in weights)
-        if len(factors) != len(weights):
-            raise DimensionError("terms and weights have different lengths")
-        if not all(math.isfinite(w) and w > 0 for w in weights):
-            raise ValueError("weights must be finite and positive")
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "weights", weights)
+    def __post_init__(self):
+        n = self.family.dim
+        for name in ("left", "right"):
+            op = as_operator(getattr(self, name))
+            if op.shape != (n, n):
+                raise DimensionError(f"{name} has shape {op.shape}, expected ({n}, {n})")
+            object.__setattr__(self, name, op)
 
     @property
     def dim(self) -> int:
-        return int(self.factors[0][1].shape[1])
-
-    @property
-    def terms(self) -> tuple[np.ndarray, ...]:
-        """The ``n x n`` terms ``X_i* Y_i``, built on demand for inspection."""
-        return tuple(adjoint(x) @ y for x, y in self.factors)
+        return self.family.dim
 
     def weighted_sum(self) -> np.ndarray:
-        return atom_sum(self.dim, ((w, x, y) for w, (x, y) in zip(self.weights, self.factors)))
-
-
-def _resolution_families(family: ControlledFamily, controls) -> list[OperatorFamily]:
-    """Per control pair ``(A, B)``, the terms ``w_i (y_i A)* (y_i B)`` with ``y_i = v_i A_i P_i``.
-
-    Each ``y_i`` is formed once, however many pairs are given.
-    """
-    factors = [[] for _ in controls]
-    for atom in family.atoms:
-        y = atom.frame_weight * atom_factor(atom)
-        for out, (a, b) in zip(factors, controls):
-            out.append((y @ a, y @ b))
-    return [OperatorFamily._from_factors(f, [atom.weight for atom in family.atoms]) for f in factors]
+        return _controlled_sum(self.family, self.left, self.right)
 
 
 @dataclass(frozen=True)
@@ -111,7 +79,7 @@ class ResolutionReport:
 
 
 def is_resolution(fam: OperatorFamily, tol: float = TOL_RES) -> ResolutionReport:
-    """Whether the weighted sum of the terms is the identity within ``tol``."""
+    """Whether the sum of the terms is the identity within ``tol``."""
     _require_tolerances(tol=tol)
     residual = operator_norm(fam.weighted_sum() - np.eye(fam.dim))
     return ResolutionReport(bool(residual <= tol), float(residual), float(tol))
@@ -133,8 +101,10 @@ def canonical_resolutions(
     """
     _require_tolerances(tol_frame=tol_frame, tol_herm=tol_herm)
     _, s_inv = _frame_inverse(family, "resolutions need a frame,", tol_frame, tol_herm)
-    lc, rc = family.controls  # left terms S^-1 L* y* y R, right terms L* y* y R S^-1
-    return CanonicalResolutions(*_resolution_families(family, ((lc @ adjoint(s_inv), rc), (lc, rc @ s_inv))))
+    lc, rc = family.controls  # left sum S^-1 L* S_plain R, right sum L* S_plain R S^-1
+    return CanonicalResolutions(
+        OperatorFamily(family, lc @ adjoint(s_inv), rc), OperatorFamily(family, lc, rc @ s_inv)
+    )
 
 
 @dataclass(frozen=True)
@@ -172,9 +142,9 @@ def dual_resolution_bounds(
     _require_tolerances(tol_res=tol_res, tol_frame=tol_frame, tol_herm=tol_herm)
     report, s_inv = _frame_inverse(family, "dual bounds need a frame,", tol_frame, tol_herm)
     _require_commuting(s_inv, family, "the inverse frame operator")
-    sl, sr = s_inv @ family.control_left, s_inv @ family.control_right
-    fam_ops, dual_form = _resolution_families(family, ((family.control_left, sr), (sl, sr)))
-    res = is_resolution(fam_ops, tol_res)
+    lc, rc = family.controls
+    res = is_resolution(OperatorFamily(family, lc, s_inv @ rc), tol_res)
+    dual_form = OperatorFamily(family, s_inv @ lc, s_inv @ rc)
     w = hermitian_eigenvalues(hermitian_part(dual_form.weighted_sum()))
     lower = report.A_opt / report.B_opt**2
     upper = report.B_opt / report.A_opt**2
@@ -221,8 +191,7 @@ def resolution_implies_frame(family: ControlledFamily, new_control: np.ndarray) 
     )
     _require_real(bessel, "the input family")
     t = family.control_left
-    (fam_ops,) = _resolution_families(family, ((t, new_control),))
-    res = is_resolution(fam_ops)
+    res = is_resolution(OperatorFamily(family, t, new_control))
     if not res.holds:
         return ResolutionFrameReport(
             hypothesis_met=False,

@@ -16,9 +16,12 @@ thresholds a caller can set are ``tol`` of ``is_resolution`` (``TOL_RES``),
 and ``tol`` of ``is_positive`` and ``operator_sqrt`` (``TOL_PD``).  Each
 must be a finite number ``>= 0`` (:func:`_require_tolerances`).
 ``TOL_COMM`` (reports print it as ``tol_comm``; compared in
-``analysis._commutation_failure`` only), ``TOL_DUAL``, ``TOL_SLACK``,
-``TOL_FACT``, ``TOL_SWAP`` and the rest are fixed; ``TOL_SING_REL`` is the one
+``analysis._commutation_failure`` only), ``TOL_SLACK``, ``TOL_FACT``,
+``TOL_SWAP`` and the rest are fixed; ``TOL_SING_REL`` is the one
 rank rule of every singularity test and orthonormalization (``linalg._rank``).
+Every identity residual reads ``TOL_RES``: the resolution tests, and the
+composite of ``cross_duality_check``, which is a resolution of the identity
+too and, taking no keyword, always compares with the default.
 
 A relative defect that is only compared with ``TOL_HERM`` (or ``tol``),
 ``TOL_COMM``, ``TOL_SAME`` or ``TOL_ORTH`` is settled by
@@ -35,8 +38,7 @@ TOL_SING_REL = 1e-12  # singularity and rank: singular values at or below it tim
 TOL_ORTH = 1e-10      # orthonormality defect allowed in stored subspace bases
 TOL_FRAME = 1e-10     # the lower optimal bound must exceed this for a frame verdict
 TOL_COMM = 1e-8       # relative commutation defect allowed by checked hypotheses
-TOL_RES = 1e-8        # residual norm allowed for a resolution of the identity
-TOL_DUAL = 1e-8       # identity residual for cross-duality composites
+TOL_RES = 1e-8        # residual norm allowed for a resolution of the identity, cross-duality composites included
 TOL_SAME = 1e-12      # relative difference below which two weights or operators count as the same
 TOL_SLACK = 1e-9      # absolute slack of every certified-vs-computed bound or norm comparison
 TOL_FACT = 1e-9       # relative factorization residual of the controlled pair sum

@@ -248,6 +248,17 @@ def oracle_frame_operator(family):
     return s
 
 
+def oracle_resolution_terms(family, left, right):
+    """``A* (w_i v_i^2 P_i Lambda_i* Lambda_i P_i) B`` per atom: the terms of ``family``'s resolution between
+    ``A = left`` and ``B = right``, one explicit product per atom."""
+    terms = []
+    for atom in family.atoms:
+        p = oracle_projection(atom)
+        core = p @ atom.local_op.conj().T @ atom.local_op @ p
+        terms.append(atom.weight * atom.frame_weight**2 * (np.conj(left).T @ core @ right))
+    return terms
+
+
 def oracle_plain_operator(family):
     s = np.zeros((family.dim, family.dim), dtype=complex)
     for atom in family.atoms:

@@ -76,12 +76,13 @@ def test_controlled_atom_term_matches_oracle(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_canonical_resolution_terms_match_oracle(seed):
     fam = _dense_controlled_family(seed, repeated=True)  # a real form, so the family is a frame
-    s_inv = np.linalg.inv(oracle_frame_operator(fam))
+    s = oracle_frame_operator(fam)
+    s_inv = np.linalg.inv(s)
     res = canonical_resolutions(fam)
-    for atom, left, right in zip(fam.atoms, res.left.terms, res.right.terms):
-        term = atom.frame_weight**2 * oracle_atom_term(fam, atom)
-        _close(left, s_inv @ term, rtol=1e-9)
-        _close(right, term @ s_inv, rtol=1e-9)
+    _close(res.left.left, fam.control_left @ s_inv.conj().T, rtol=1e-9)
+    _close(res.right.right, fam.control_right @ s_inv, rtol=1e-9)
+    _close(res.left.weighted_sum(), s_inv @ s, rtol=1e-9)
+    _close(res.right.weighted_sum(), s @ s_inv, rtol=1e-9)
     assert_allclose(res.left.weighted_sum(), np.eye(fam.dim), atol=1e-9)
     assert_allclose(res.right.weighted_sum(), np.eye(fam.dim), atol=1e-9)
 

@@ -162,6 +162,23 @@ def test_dual_rejects_non_frame(capsys):
     assert "bessel-only" in err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--reading", "literal"], "--reading"),
+    (["--weights", "9", "4", "1.01"], "--weights"),
+    (["--reading", "literal", "--weights", "9", "4", "1.01"], "--reading and --weights"),
+], ids=["reading", "weights", "both"])
+@pytest.mark.parametrize("command", ["bounds", "dual", "resolution"])
+def test_builtin_flags_with_a_family_document_are_refused(capsys, tmp_path, command, flags, named):
+    """``--reading`` and ``--weights`` describe the builtin family; a document given with them is an error, not
+    a silent run of the document (which would print ``frame`` where the builtin literal reading is ``bessel-only``)."""
+    path = tmp_path / "b.json"
+    save_family(path, ball_partition_example(3, 2, 1.5))
+    argv = [command, str(path), *(["canonical-right"] if command == "resolution" else []), *flags]
+    code, rep, err = run_cli(capsys, *argv)
+    assert (code, rep) == (1, None)
+    assert err.splitlines() == [f"gfusion: error: {named} cannot be used with a family document, only with --builtin"]
+
+
 # ----------------------------------------------------------------------- pair
 
 def _pair_files(tmp_path, seed=0):
@@ -243,6 +260,30 @@ def test_multiplier_missing_symbol_is_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "multiplier", str(pa), str(pa))
     assert code == 1
     assert "symbol" in err
+
+
+def _symbol_files(tmp_path, first, second):
+    fam = diag_family(0, equal_controls=True)
+    paths = tmp_path / "m1.json", tmp_path / "m2.json"
+    for path, family, value in zip(paths, (fam, canonical_dual(fam)), (first, second)):
+        save_family(path, family, MultiplierSymbol.constant(value, len(fam.atoms)))
+    return [str(p) for p in paths]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["m1-m2", "m2-m1"])
+def test_multiplier_refuses_two_different_symbols(capsys, tmp_path, order):
+    """With no --m-const, a symbol in each document must be the same one; else either order was a different verdict."""
+    paths = _symbol_files(tmp_path, 1.0, 0.0)[::order]
+    code, rep, err = run_cli(capsys, "multiplier", *paths)
+    assert (code, rep) == (1, None)
+    assert err.splitlines() == [f"gfusion: error: {paths[0]} and {paths[1]} carry different symbols 'm'; pass --m-const"]
+    code, rep, _ = run_cli(capsys, "multiplier", *paths, "--m-const", "1.0")
+    assert (code, rep["verdict"]) == (0, "pass")
+
+
+def test_multiplier_reads_an_equal_symbol_from_both_documents(capsys, tmp_path):
+    code, rep, err = run_cli(capsys, "multiplier", *_symbol_files(tmp_path, 1.0, 1.0))
+    assert (code, rep["verdict"], err) == (0, "pass", "")
 
 
 def test_multiplier_reads_the_symbol_of_the_second_document(capsys, tmp_path):

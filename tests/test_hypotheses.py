@@ -18,6 +18,7 @@ from gfusion import (
     BesselPair,
     DimensionError,
     HypothesisError,
+    OperatorFamily,
     PairingError,
     PerturbationParams,
     cross_duality_check,
@@ -149,6 +150,28 @@ def test_one_rank_rule():
     first_line = {name: min(n.lineno for n in ast.walk(body) if _is_call(n, name)) for name in ("_singular", "_inverse")}
     assert first_line["_singular"] < first_line["_inverse"]
     assert _owners(lambda n: isinstance(n, ast.Attribute) and n.attr == "array_equal") == {"family._distinct_controls"}
+
+
+def test_every_resolution_sum_is_its_family_between_two_operators():
+    """``adjoint(A) @ plain_frame_operator(family) @ B`` is formed in one function: ``S`` and every resolution sum.
+
+    ``resolution.py`` keeps no per-atom path of its own, and an ``OperatorFamily`` stores no per-atom terms.
+    """
+    def matmul(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+
+    def sandwich(node):
+        return matmul(node) and matmul(node.left) and _is_call(node.left.left, "adjoint") and _is_call(
+            node.left.right, "plain_frame_operator"
+        )
+
+    assert _owners(sandwich) == {"analysis._controlled_sum"}
+    assert _calls(_function("analysis.frame_operator"), "_controlled_sum")
+    source = (SRC / "resolution.py").read_text()
+    assert [name for name in ("atom_factor", "atom_sum") if name in source] == []
+    fam = diag_family(0)
+    resolution = OperatorFamily(fam, np.eye(fam.dim), np.eye(fam.dim))
+    assert [name for name in ("factors", "terms", "weights") if hasattr(resolution, name)] == []
 
 
 # ------------------------------------------------------------- one error per hypothesis

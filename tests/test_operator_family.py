@@ -1,4 +1,4 @@
-"""OperatorFamily: factor-pair storage, input checks, and the memory taken by resolution families."""
+"""OperatorFamily: a family between two operators, its input checks, and the memory taken by resolution families."""
 
 import tracemalloc
 
@@ -18,7 +18,7 @@ from gfusion import (
     replace_controls,
 )
 from gfusion.tolerances import MAX_DIM
-from helpers import generic_family, positive_control
+from helpers import diag_family, generic_family, oracle_resolution_terms, positive_control
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -27,52 +27,51 @@ def test_canonical_families_sum_their_terms(seed):
     control = positive_control(np.random.default_rng(seed), fam.dim)  # repeated, so the family is a frame
     fam = replace_controls(fam, control, control)
     for of in canonical_resolutions(fam):
-        explicit = sum(w * t for w, t in zip(of.weights, of.terms))
+        explicit = sum(oracle_resolution_terms(fam, of.left, of.right))
         assert_allclose(of.weighted_sum(), explicit, rtol=1e-12, atol=1e-12 * np.abs(explicit).max())
-        for atom, (x, y) in zip(fam.atoms, of.factors):
-            assert x.shape == y.shape == (atom.codomain_dim, fam.dim)
-            assert not (x.flags.writeable or y.flags.writeable)
+        assert of.family is fam
+        assert not (of.left.flags.writeable or of.right.flags.writeable)
 
 
-def test_square_term_is_stored_as_identity_pair():
-    t = np.random.default_rng(1).standard_normal((4, 4)) + 1j
-    fam = OperatorFamily((t,), (2.5,))
-    assert np.array_equal(fam.factors[0][0], np.eye(4))
-    assert np.array_equal(fam.terms[0], t)
-    assert np.array_equal(fam.weighted_sum(), 2.5 * t)
+def _operator_family(left, right, n=2):
+    return OperatorFamily(diag_family(0, n=n), left, right)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+def test_rejects_operator_with_non_finite_entry(side, bad):
+    op = np.eye(2, dtype=np.complex128)
+    op[1, 0] = bad
+    ops = {"left": np.eye(2), "right": np.eye(2), side: op}
+    with pytest.raises(ValueError, match="finite"):
+        _operator_family(ops["left"], ops["right"])
+
+
+def test_rejects_operator_beyond_desk_scale():
+    with pytest.raises(DimensionError):
+        _operator_family(np.eye(2), np.zeros((MAX_DIM + 1, MAX_DIM + 1)))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3), (3, 2)])
+def test_rejects_operator_that_is_not_n_by_n(shape):
+    with pytest.raises(DimensionError, match=r"^left has shape"):
+        _operator_family(np.ones(shape), np.eye(2))
+    with pytest.raises(DimensionError, match=r"^right has shape"):
+        _operator_family(np.eye(2), np.ones(shape))
+
+
+def test_stored_operators_are_read_only_copies():
+    left = np.eye(2)
+    fam = _operator_family(left, np.eye(2))
+    left[0, 0] = 5.0
+    assert fam.left[0, 0] == 1.0
+    assert not fam.left.flags.writeable
 
 
 @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
-def test_rejects_weight_that_is_not_finite_and_positive(weight):
-    with pytest.raises(ValueError, match="finite and positive"):
-        OperatorFamily((np.eye(2),), (weight,))
-
-
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
-def test_rejects_term_with_non_finite_entry(bad):
-    t = np.eye(2, dtype=np.complex128)
-    t[1, 0] = bad
-    with pytest.raises(ValueError, match="finite"):
-        OperatorFamily((np.eye(2), t), (1.0, 1.0))
-
-
-def test_rejects_term_beyond_desk_scale():
-    with pytest.raises(DimensionError):
-        OperatorFamily((np.zeros((MAX_DIM + 1, MAX_DIM + 1)),), (1.0,))
-
-
-def test_rejects_terms_of_different_shapes():
-    with pytest.raises(DimensionError):
-        OperatorFamily((np.eye(2), np.eye(3)), (1.0, 1.0))
-    with pytest.raises(DimensionError):
-        OperatorFamily((np.ones((2, 3)),), (1.0,))
-
-
-def test_stored_terms_are_copies():
-    t = np.eye(2)
-    fam = OperatorFamily((t,), (1.0,))
-    t[0, 0] = 5.0
-    assert fam.terms[0][0, 0] == 1.0
+def test_atom_rejects_weight_that_is_not_finite_and_positive(weight):
+    with pytest.raises(ValueError, match="weight must be positive"):
+        MeasureAtom("a0", weight, 1.0, Subspace.full(2), np.eye(2))
 
 
 def _rank_two_frame(n=128, count=100, seed=3):
@@ -100,12 +99,3 @@ def test_resolution_memory_stays_within_a_few_matrices(call):
         tracemalloc.stop()
     assert holds
     assert peak < 32 * fam.dim**2 * np.dtype(np.complex128).itemsize
-
-
-@pytest.mark.parametrize("terms, weights, error, message", [
-    ([], [], ValueError, "an operator family needs at least one term"),
-    ([np.eye(2)], [1.0, 2.0], DimensionError, "terms and weights have different lengths"),
-], ids=["no-terms", "weight-count"])
-def test_refuses_an_empty_or_mis_weighted_family(terms, weights, error, message):
-    with pytest.raises(error, match=f"^{message}$"):
-        OperatorFamily(terms, weights)

@@ -18,16 +18,13 @@ from gfusion import (
     resolution_implies_frame,
 )
 from gfusion.tolerances import TOL_SLACK
-from helpers import diag_family, lowrank_family, oracle_dual_form
+from helpers import diag_family, lowrank_family, oracle_dual_form, oracle_resolution_terms
 
 
-def coordinate_projections(n):
-    terms = []
-    for i in range(n):
-        p = np.zeros((n, n))
-        p[i, i] = 1.0
-        terms.append(p)
-    return OperatorFamily(tuple(terms), (1.0,) * n)
+def coordinate_projections(n, scale=1.0):
+    """The coordinate projections of ``C^n``, as atoms with local operator ``scale * I`` under identity controls."""
+    atoms = tuple(MeasureAtom(f"e{i}", 1.0, 1.0, Subspace.coordinate(n, [i]), scale * np.eye(n)) for i in range(n))
+    return OperatorFamily(ControlledFamily(n, atoms, np.eye(n), np.eye(n)), np.eye(n), np.eye(n))
 
 
 def test_coordinate_projections_resolve():
@@ -37,21 +34,19 @@ def test_coordinate_projections_resolve():
 
 
 def test_scaled_projections_fail_with_unit_residual():
-    fam = coordinate_projections(4)
-    scaled = OperatorFamily(tuple(2.0 * t for t in fam.terms), fam.weights)
-    rep = is_resolution(scaled)
+    rep = is_resolution(coordinate_projections(4, np.sqrt(2.0)))
     assert not rep.holds
     assert rep.residual == pytest.approx(1.0)
 
 
 def test_resolution_invariant_under_atom_permutation():
     rng = np.random.default_rng(0)
-    terms = [rng.standard_normal((4, 4)) for _ in range(6)]
-    weights = rng.uniform(0.5, 2.0, 6)
-    fam = OperatorFamily(tuple(terms), tuple(weights))
+    fam = lowrank_family(0, 4, atoms=6)
+    left, right = rng.standard_normal((2, 4, 4))
     perm = rng.permutation(6)
-    fam_p = OperatorFamily(tuple(terms[i] for i in perm), tuple(weights[i] for i in perm))
-    assert abs(is_resolution(fam).residual - is_resolution(fam_p).residual) < 1e-14
+    permuted = ControlledFamily(fam.dim, tuple(fam.atoms[i] for i in perm), fam.control_left, fam.control_right)
+    residual = is_resolution(OperatorFamily(fam, left, right)).residual
+    assert abs(residual - is_resolution(OperatorFamily(permuted, left, right)).residual) < 1e-14 * max(1.0, residual)
 
 
 def test_frame_induces_resolution():
@@ -60,7 +55,7 @@ def test_frame_induces_resolution():
     left, right = canonical_resolutions(fam)
     assert is_resolution(left).holds and is_resolution(right).holds
     # assemble the right resolution directly as a cross-check
-    total = sum(w * t for w, t in zip(right.weights, right.terms))
+    total = sum(oracle_resolution_terms(fam, right.left, right.right))
     assert operator_norm(total - np.eye(fam.dim)) < 1e-8 * np.linalg.cond(frame_operator(fam))
     assert operator_norm(s_inv @ frame_operator(fam) - np.eye(fam.dim)) < 1e-10
 
@@ -83,7 +78,8 @@ def test_canonical_resolutions_parseval_family():
 def test_canonical_resolutions_left_right_adjoint_on_diagonal_instances():
     fam = diag_family(2)
     left, right = canonical_resolutions(fam)
-    for lt, rt in zip(left.terms, right.terms):
+    for lt, rt in zip(oracle_resolution_terms(fam, left.left, left.right),
+                      oracle_resolution_terms(fam, right.left, right.right)):
         assert np.max(np.abs(lt.conj().T - rt)) < 1e-12
 
 
