@@ -13,9 +13,14 @@ the asymmetry would mask a modeling error.
 
 Every per-atom sum in the package is formed from the factors
 ``Y_i = A_i P_i`` (:func:`atom_factor`, built from the subspace basis, never
-from the ``n x n`` projection) and accumulated one small product
-``c_i X_i* Y_i`` at a time in ascending atom order (:func:`atom_sum`).  The
-frame operator is ``S = L* (sum_i weight_i v_i^2 Y_i* Y_i) R``.
+from the ``n x n`` projection).  Factors are stacked in chunks of whole atoms,
+in ascending atom order, of at most ``max(n, 4096 / n)`` rows (an atom wider
+than that is a chunk of its own): a sum ``sum_i c_i X_i* Y_i`` is one product
+per chunk, run with the BLAS on one thread and added chunk by chunk
+(:func:`atom_sum`), and the products ``Y_i M`` of every factor with one
+operator are one product per chunk, sliced back per atom
+(:func:`_row_products`).  The frame operator is
+``S = L* (sum_i weight_i v_i^2 Y_i* Y_i) R``.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .linalg import (
     Subspace,
     _defect_beyond,
     _nonsingular_operator,
+    _pinned,
     adjoint,
     as_vector,
     inverse,
@@ -84,19 +90,94 @@ def atom_factor(atom) -> np.ndarray:
     return (atom.local_op @ b) @ adjoint(b)
 
 
-def atom_sum(dim: int, terms) -> np.ndarray:
-    """``sum_i c_i X_i* Y_i`` over ``(c_i, X_i, Y_i)`` triples, in the order given.
+def _chunk_rows(dim: int) -> int:
+    """The row budget of one chunk of stacked factors: ``max(n, 2**12 // n)``, which depends only on ``n``.
 
-    Callers pass the triples in ascending atom order.  Each term is one small
-    product of ``d x n`` factors added to the running total.  The sum over
-    atoms is never handed to BLAS as one long inner dimension, whose split
-    between threads could change the rounding, so the result has the same
-    bits at every BLAS thread count.
+    A chunk's stack then holds no more entries than the ``n x n`` sum it is
+    added into, or ``2**12`` (64 KB) when that is more, so a small family
+    takes few chunks.  A budget of ``4 n`` rows was slower at n = 192 and
+    512, and it raised the peak resident memory of a process that assembles
+    n = 192 sums by ~5 MB.
+    """
+    return max(dim, 2**12 // dim)
+
+
+def _term_chunks(dim: int, terms):
+    """``(conj(X)_chunk, (c Y)_chunk)`` for each chunk of consecutive whole ``(c, X, Y)`` terms, in the order given.
+
+    Terms are packed until the next would take the chunk past
+    :func:`_chunk_rows`; a term wider than that is a chunk of its own.  Each
+    row of ``Y`` is scaled exactly as ``c * Y`` scales it.  The stacks are
+    buffers that the next chunk reuses, so memory is ``O(n^2)``.
+    """
+    budget = _chunk_rows(dim)
+    xs = np.empty((budget, dim), dtype=np.complex128)
+    ys = np.empty((budget, dim), dtype=np.complex128)
+    rows = 0
+    for c, x, y in terms:
+        d = len(x)
+        if rows and rows + d > budget:
+            yield xs[:rows], ys[:rows]
+            rows = 0
+        if d > budget:
+            yield np.conj(x), c * y
+            continue
+        np.conjugate(x, out=xs[rows:rows + d])
+        np.multiply(c, y, out=ys[rows:rows + d])
+        rows += d
+    if rows:
+        yield xs[:rows], ys[:rows]
+
+
+def atom_sum(dim: int, terms) -> np.ndarray:
+    """``sum_i c_i X_i* Y_i`` over ``(c_i, X_i, Y_i)`` triples of ``d_i x n`` factors, in the order given.
+
+    Callers pass the triples in ascending atom order.  The factors are stacked
+    in chunks of whole atoms (:func:`_term_chunks`), and each chunk is one
+    product ``X_chunk* (c Y)_chunk`` added to the running total, chunk by
+    chunk.  A multithreaded BLAS may split that product's long inner
+    dimension between threads, which changes the rounding, so it runs on one
+    thread (:func:`~gfusion.linalg._pinned`): the result has the same bits at
+    every BLAS thread count.
     """
     total = np.zeros((dim, dim), dtype=np.complex128)
-    for c, x, y in terms:
-        total += np.conj(x).T @ (c * y)
+    for xs, ys in _term_chunks(dim, terms):
+        total += _pinned(np.matmul, xs.T, ys)
     return total
+
+
+def _row_products(dim: int, items, *ops):
+    """``(tag, [block @ op for op in ops])`` for each ``(tag, block)`` item, in order: one product per operator per chunk.
+
+    Blocks are stacked in chunks of whole items, as :func:`_term_chunks`
+    stacks terms.  The products keep their BLAS threads: no row's inner
+    dimension is split.  A ``d x n`` slice of a stack equals the atom's own
+    product for ``d >= 2``; a one-row atom alone would take a matrix-vector
+    product, which rounds differently in the last bits.
+    """
+    budget = _chunk_rows(dim)
+    stack = np.empty((budget, dim), dtype=np.complex128)
+    tags, ends = [], [0]
+    for tag, block in items:
+        d = len(block)
+        if tags and ends[-1] + d > budget:
+            yield from _sliced(stack[:ends[-1]], tags, ends, ops)
+            tags, ends = [], [0]
+        if d > budget:
+            yield from _sliced(block, [tag], [0, d], ops)
+            continue
+        stack[ends[-1]:ends[-1] + d] = block
+        tags.append(tag)
+        ends.append(ends[-1] + d)
+    if tags:
+        yield from _sliced(stack[:ends[-1]], tags, ends, ops)
+
+
+def _sliced(stack: np.ndarray, tags, ends, ops):
+    """The products of one chunk's ``stack`` with ``ops``, sliced back per item (item ``k`` in rows ``ends[k]:ends[k+1]``)."""
+    products = [stack @ op for op in ops]
+    for tag, lo, hi in zip(tags, ends, ends[1:]):
+        yield tag, [p[lo:hi] for p in products]
 
 
 def _gram_terms(family):
@@ -146,8 +227,8 @@ def _gram_columns(family: ControlledFamily, fs: np.ndarray, gs: np.ndarray) -> n
     rf = family.control_right @ fs
     lg = family.control_left @ gs
     vals = np.zeros(fs.shape[1], dtype=np.complex128)
-    for c, ap, _ in _gram_terms(family):
-        vals += c * np.sum(np.conj(ap @ lg) * (ap @ rf), axis=0)
+    for c, (ap_lg, ap_rf) in _row_products(family.dim, ((c, ap) for c, ap, _ in _gram_terms(family)), lg, rf):
+        vals += c * np.sum(np.conj(ap_lg) * ap_rf, axis=0)
     return vals
 
 
@@ -159,7 +240,7 @@ def frame_operator(family: ControlledFamily, *, tol_herm: float = TOL_HERM) -> n
     """
     require_valid(family, tol_herm)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite S is rejected just below
-        s = _controlled_sum(family, *family.controls)
+        s = _controlled_sum(plain_frame_operator(family), *family.controls)
         if not np.isfinite(s).all():
             raise ValidationError([_non_finite_term(family)])
     return s
@@ -167,9 +248,8 @@ def frame_operator(family: ControlledFamily, *, tol_herm: float = TOL_HERM) -> n
 
 def _non_finite_term(family: ControlledFamily) -> str:
     """Name the first atom whose frame-operator term, formed as in ``S``, is not finite (scanned only on failure)."""
-    left, right = adjoint(family.control_left), family.control_right
     for atom, term in zip(family.atoms, _gram_terms(family)):
-        if not np.isfinite(left @ atom_sum(family.dim, [term]) @ right).all():
+        if not np.isfinite(_controlled_sum(atom_sum(family.dim, [term]), *family.controls)).all():
             return f"atom {atom.id!r}: frame operator term is not finite"
     return "frame operator is not finite"
 
@@ -179,9 +259,9 @@ def plain_frame_operator(family: ControlledFamily) -> np.ndarray:
     return atom_sum(family.dim, _gram_terms(family))
 
 
-def _controlled_sum(family: ControlledFamily, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def _controlled_sum(s_plain: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """``left* S_plain right``: ``S`` at the control pair, and every resolution sum at its own pair."""
-    return adjoint(left) @ plain_frame_operator(family) @ right
+    return adjoint(left) @ s_plain @ right
 
 
 def optimal_bounds(
@@ -343,16 +423,15 @@ def transform_family(family: ControlledFamily, v: np.ndarray) -> ControlledFamil
 
 def _transform(family: ControlledFamily, v: np.ndarray) -> ControlledFamily:
     """:func:`transform_family` of a validated family along a checked ``v``: nonsingular, ``v*`` commuting."""
-    vh = adjoint(v)
     new_atoms = []
-    for atom in family.atoms:
+    for atom, (local_op,) in _row_products(family.dim, ((a, atom_factor(a)) for a in family.atoms), adjoint(v)):
         new_atoms.append(
             type(atom)(
                 id=atom.id,
                 weight=atom.weight,
                 frame_weight=atom.frame_weight,
                 subspace=Subspace(orthonormal_columns(v @ atom.subspace.basis)),
-                local_op=atom_factor(atom) @ vh,
+                local_op=local_op,
             )
         )
     return ControlledFamily(family.dim, tuple(new_atoms), family.control_left, family.control_right)
@@ -507,11 +586,13 @@ def cross_duality_check(fam_a: ControlledFamily, fam_b: ControlledFamily) -> Cro
     _require_aligned(fam_a, fam_b)
     _require_real(bounds_a, "first family")
     _require_real(bounds_b, "second family")
-    composite = np.zeros((fam_a.dim, fam_a.dim), dtype=np.complex128)
-    for a, b in zip(fam_a.atoms, fam_b.atoms):
-        root_a = _atom_root(fam_a, a)
-        root_b = _atom_root(fam_b, b)
-        composite += a.weight * a.frame_weight * b.frame_weight * (root_b @ root_a)
+
+    def terms():  # root_b root_a is X* Y with X = root_b*
+        for a, b in zip(fam_a.atoms, fam_b.atoms):
+            root_a = _atom_root(fam_a, a)
+            yield a.weight * a.frame_weight * b.frame_weight, adjoint(_atom_root(fam_b, b)), root_a
+
+    composite = atom_sum(fam_a.dim, terms())
     residual = operator_norm(composite - np.eye(fam_a.dim))
     is_identity = residual <= TOL_RES
     cert_a = cert_b = None

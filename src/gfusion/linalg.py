@@ -8,8 +8,10 @@ Hermitian eigendecomposition; dimensions are capped at desk scale
 
 This is the one module that calls LAPACK (``numpy.linalg``), and each call
 goes through :func:`_lapack`, which runs it with the BLAS pinned to one
-thread, so every decomposition has the same bits at every BLAS thread count.
-Matrix products keep their threads.
+thread (:func:`_pinned`), so every decomposition has the same bits at every
+BLAS thread count.  Matrix products keep their threads, with one exception:
+the chunk products of :func:`gfusion.analysis.atom_sum`, whose long inner
+dimension a multithreaded BLAS may split, run under the same pin.
 
 All helpers treat their inputs as immutable and return freshly allocated,
 write-protected arrays, so values can be shared freely between threads.
@@ -67,16 +69,14 @@ _BLAS_THREADS = _blas_thread_calls()
 _BLAS_LOCK = threading.Lock()
 
 
-def _lapack(name: str, *args, **kwargs):
-    """``np.linalg.<name>(*args, **kwargs)``, run with the BLAS on one thread.
+def _pinned(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, run with the BLAS on one thread: the one home of the pin.
 
-    How a multithreaded LAPACK call splits its work changes its rounding, so
-    a BLAS on more than one thread is set to one for the call and restored
-    after it; the lock makes save, set and restore atomic for concurrent
-    Python threads, and no state outlives the call.  The function is looked
-    up at call time, so wrappers patched onto ``np.linalg`` see every call.
+    How a multithreaded BLAS or LAPACK call splits its work changes its
+    rounding, so a BLAS on more than one thread is set to one for the call and
+    restored after it; the lock makes save, set and restore atomic for
+    concurrent Python threads, and no state outlives the call.
     """
-    fn = getattr(np.linalg, name)
     if _BLAS_THREADS is None:
         return fn(*args, **kwargs)
     get, set_ = _BLAS_THREADS
@@ -89,6 +89,15 @@ def _lapack(name: str, *args, **kwargs):
         finally:
             if threads > 1:
                 set_(threads)
+
+
+def _lapack(name: str, *args, **kwargs):
+    """``np.linalg.<name>(*args, **kwargs)`` under :func:`_pinned`.
+
+    The function is looked up at call time, so wrappers patched onto
+    ``np.linalg`` see every call.
+    """
+    return _pinned(getattr(np.linalg, name), *args, **kwargs)
 
 
 def as_operator(a) -> np.ndarray:
@@ -316,9 +325,13 @@ def orthonormal_columns(m: np.ndarray) -> np.ndarray:
     """An orthonormal basis of the column span of ``m``.
 
     The left singular vectors of one thin SVD, as many as its :func:`_rank`, whatever the order and overall scale
-    of the columns.  They are not rescaled one by one here: that would change the singular vectors.
+    of the columns.  Before the SVD the whole matrix is divided by the power of two that brings its largest real or
+    imaginary part into ``[1/2, 1)`` (``np.ldexp``, exact), so no singular value overflows.  The columns are not
+    rescaled one by one here: that would change the singular vectors.
     """
-    u, s, _ = _lapack("svd", as_operator(m), full_matrices=False)
+    parts = as_operator(m).view(np.float64)  # real and imaginary parts, side by side
+    exponent = math.frexp(float(np.abs(parts).max()))[1]
+    u, s, _ = _lapack("svd", np.ldexp(parts, -exponent).view(np.complex128), full_matrices=False)
     out = u[:, :_rank(s)]
     if not out.shape[1]:
         raise DimensionError("no linearly independent columns survived orthonormalization")

@@ -11,15 +11,18 @@ two-fraction check with both fractions zero, so both share one code path.
 Each per-atom term is the Hermitian part of ``(Y L)* (Y R)``, with ``Y``
 the atom's ``d x n`` factor and ``L, R`` the reference controls, so the
 reference, perturbed and difference terms of an atom pair all have their
-range in the span of the ``m = 2 (d_a + d_b)`` columns of ``(Y_a L)*``,
-``(Y_a R)*``, ``(Y_b L)*`` and ``(Y_b R)*``.  When ``2 m <= n`` the terms are
-formed on an orthonormal basis ``Q`` of ``m`` columns containing that span
-(the Householder QR factor of the stack), as ``m x m`` blocks.  Each full
-term has the spectrum of its block plus ``n - m >= 1`` zeros
-(Courant-Fischer), and the dominator's ``eps * I`` adds ``eps`` to every
-eigenvalue; a zero clears the ``-TOL_PD`` slack and ``eps >= 0``, so the
-blocks' extreme eigenvalues decide both orderings exactly, on ``m x m``
-eigenproblems.  Otherwise the terms are the ``n x n`` matrices themselves.
+range in the span of the columns of ``(Y_a L)*``, ``(Y_a R)*``, ``(Y_b L)*``
+and ``(Y_b R)*``.  A repeated control (``L = R`` entrywise) is stacked once,
+so there are ``m = (d_a + d_b)`` times the number of distinct controls of
+them.  The products ``Y L`` and ``Y R`` of all atoms are one product per
+chunk of stacked factors (:func:`~gfusion.analysis._row_products`).  When
+``2 m <= n`` the terms are formed on an orthonormal basis ``Q`` of ``m``
+columns containing that span (the Householder QR factor of the stack), as
+``m x m`` blocks.  Each full term has the spectrum of its block plus
+``n - m >= 1`` zeros (Courant-Fischer), and the dominator's ``eps * I`` adds
+``eps`` to every eigenvalue; a zero clears the ``-TOL_PD`` slack and
+``eps >= 0``, so the blocks' extreme eigenvalues decide both orderings
+exactly, on ``m x m`` eigenproblems.  Otherwise the terms are the ``n x n`` matrices themselves.
 The report's ``min_margin`` comes from the same eigenvalues: the smallest
 eigenvalue of any atom's ``n x n`` difference, which on a block is
 ``min(lambda_min, 0)``.
@@ -34,10 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import atom_factor, optimal_bounds
+from .analysis import _row_products, atom_factor, optimal_bounds
 from .errors import NotAFrameError, PairingError, ValidationError
 from .family import (
     ControlledFamily,
+    _distinct_controls,
     _require_aligned,
     _require_same_operator,
     _require_same_weights,
@@ -119,15 +123,17 @@ def _atom_terms(lam: ControlledFamily, gam: ControlledFamily):
     has ``n - m >= 1`` zero eigenvalues.  A term that is not finite
     raises :class:`ValidationError` naming its atom.
     """
-    left, right = lam.control_left, lam.control_right  # both families carry the control pair of lam
-    for a, b in zip(lam.atoms, gam.atoms):
+    controls = _distinct_controls(lam)  # both families carry the control pair of lam
+    k = len(controls)
+    pairs = zip(*(_row_products(lam.dim, ((a, atom_factor(a)) for a in fam.atoms), *controls) for fam in (lam, gam)))
+    for _ in lam.atoms:
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite term is rejected just below
-            ya, yb = atom_factor(a), atom_factor(b)
-            factors = (ya @ left, ya @ right, yb @ left, yb @ right)
+            (a, xa), (b, xb) = next(pairs)  # (Y L, Y R), or (Y L,) for a repeated control
+            factors = xa + xb
             q = _factor_range_basis(factors)  # None keeps the n x n terms, also for a non-finite factor
             if q is not None:
                 factors = tuple(x @ q for x in factors)
-            xal, xar, xbl, xbr = factors
+            xal, xar, xbl, xbr = factors[0], factors[k - 1], factors[k], factors[-1]
             ref = hermitian_part(adjoint(xal) @ xar)
             per = hermitian_part(adjoint(xbl) @ xbr)
             delta = per - ref

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import _controlled_sum, _frame_inverse, _require_commuting, optimal_bounds
+from .analysis import _controlled_sum, _frame_inverse, _require_commuting, optimal_bounds, plain_frame_operator
 from .errors import DimensionError
 from .family import ControlledFamily, _require_real, _require_same_operator, replace_controls
 from .linalg import adjoint, as_operator, hermitian_eigenvalues, hermitian_part, inverse, operator_norm
@@ -64,7 +64,7 @@ class OperatorFamily:
         return self.family.dim
 
     def weighted_sum(self) -> np.ndarray:
-        return _controlled_sum(self.family, self.left, self.right)
+        return _controlled_sum(plain_frame_operator(self.family), self.left, self.right)
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,12 @@ class ResolutionReport:
 def is_resolution(fam: OperatorFamily, tol: float = TOL_RES) -> ResolutionReport:
     """Whether the sum of the terms is the identity within ``tol``."""
     _require_tolerances(tol=tol)
-    residual = operator_norm(fam.weighted_sum() - np.eye(fam.dim))
+    return _resolution(fam.weighted_sum(), tol)
+
+
+def _resolution(total: np.ndarray, tol: float) -> ResolutionReport:
+    """The one test of a resolution sum: its residual ``norm(total - I)`` against ``tol``."""
+    residual = operator_norm(total - np.eye(total.shape[0]))
     return ResolutionReport(bool(residual <= tol), float(residual), float(tol))
 
 
@@ -143,9 +148,9 @@ def dual_resolution_bounds(
     report, s_inv = _frame_inverse(family, "dual bounds need a frame,", tol_frame, tol_herm)
     _require_commuting(s_inv, family, "the inverse frame operator")
     lc, rc = family.controls
-    res = is_resolution(OperatorFamily(family, lc, s_inv @ rc), tol_res)
-    dual_form = OperatorFamily(family, s_inv @ lc, s_inv @ rc)
-    w = hermitian_eigenvalues(hermitian_part(dual_form.weighted_sum()))
+    s_plain = plain_frame_operator(family)  # one uncontrolled sum for the resolution and the dual form
+    res = _resolution(_controlled_sum(s_plain, lc, s_inv @ rc), tol_res)
+    w = hermitian_eigenvalues(hermitian_part(_controlled_sum(s_plain, s_inv @ lc, s_inv @ rc)))
     lower = report.A_opt / report.B_opt**2
     upper = report.B_opt / report.A_opt**2
     sandwich_ok = bool(w[0] >= lower - TOL_SLACK and w[-1] <= upper + TOL_SLACK)

@@ -153,7 +153,7 @@ def test_one_rank_rule():
 
 
 def test_every_resolution_sum_is_its_family_between_two_operators():
-    """``adjoint(A) @ plain_frame_operator(family) @ B`` is formed in one function: ``S`` and every resolution sum.
+    """``adjoint(A) @ s_plain @ B`` is formed in one function: ``S`` and every resolution sum.
 
     ``resolution.py`` keeps no per-atom path of its own, and an ``OperatorFamily`` stores no per-atom terms.
     """
@@ -161,9 +161,9 @@ def test_every_resolution_sum_is_its_family_between_two_operators():
         return isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
 
     def sandwich(node):
-        return matmul(node) and matmul(node.left) and _is_call(node.left.left, "adjoint") and _is_call(
-            node.left.right, "plain_frame_operator"
-        )
+        return matmul(node) and matmul(node.left) and _is_call(node.left.left, "adjoint") and getattr(
+            node.left.right, "id", None
+        ) == "s_plain"
 
     assert _owners(sandwich) == {"analysis._controlled_sum"}
     assert _calls(_function("analysis.frame_operator"), "_controlled_sum")

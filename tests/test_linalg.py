@@ -214,6 +214,22 @@ def test_orthonormal_columns_drops_dependent():
     assert q.shape == (3, 1)
 
 
+def test_orthonormal_columns_of_a_matrix_near_the_double_range():
+    """Its SVD alone would return infinite singular values, of which the relative rank rule keeps none."""
+    big = 1.7e308
+    q = orthonormal_columns(np.array([[big, big], [big, -big], [big, big], [-big, big]]))
+    assert q.shape == (4, 2)
+    assert_allclose(q.conj().T @ q, np.eye(2), atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 3.0, 1e5])
+def test_orthonormal_columns_agree_with_the_unscaled_svd(seed, scale):
+    rng = np.random.default_rng(seed)
+    m = scale * (rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4)))
+    assert_allclose(orthonormal_columns(m), np.linalg.svd(m, full_matrices=False)[0], rtol=0, atol=1e-15)
+
+
 def test_subspace_rejects_skewed_basis():
     with pytest.raises(DimensionError):
         Subspace(np.array([[1.0], [1.0]]))

@@ -333,7 +333,7 @@ def _rank_one_family():
 
 
 def test_rank_one_atoms_never_reach_an_n_by_n_eigenproblem(monkeypatch):
-    """Per atom only ``m x m`` blocks (``m = 4``) are decomposed.
+    """Per atom only ``m x m`` blocks (``m = 2``: one row per atom, the repeated control stacked once) are decomposed.
 
     The ``n x n`` calls are exactly those the two frame-operator bound
     computations make (the bounds, and the control checks of validation).
@@ -356,8 +356,8 @@ def test_rank_one_atoms_never_reach_an_n_by_n_eigenproblem(monkeypatch):
     assert rep.hypothesis_met and rep.applicable and rep.inside  # both frame-operator bounds were computed
     assert set(bounds_shapes) == {(64, 64)}
     assert shapes.count((64, 64)) == len(bounds_shapes)
-    assert sorted(set(shapes) - {(64, 64)}) == [(4, 4)]
-    assert shapes.count((4, 4)) == 2 * len(lam.atoms)  # difference, and dominator minus difference
+    assert sorted(set(shapes) - {(64, 64)}) == [(2, 2)]
+    assert shapes.count((2, 2)) == 2 * len(lam.atoms)  # difference, and dominator minus difference
 
 
 def test_rank_deficient_stack_matches_oracle():

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,9 @@ from gfusion import (
 )
 from gfusion.tolerances import TOL_SLACK
 from helpers import diag_family, lowrank_family, oracle_dual_form, oracle_resolution_terms
+
+ANALYSIS = importlib.import_module("gfusion.analysis")  # the package attribute is the analysis map
+RESOLUTION = importlib.import_module("gfusion.resolution")
 
 
 def coordinate_projections(n, scale=1.0):
@@ -179,3 +184,19 @@ def test_dual_form_sandwich_is_decided_on_the_spectrum_of_its_hermitian_part(mon
     assert rep.sandwich_ok == (w[0] >= rep.sandwich_lower - TOL_SLACK and w[-1] <= rep.sandwich_upper + TOL_SLACK)
     assert rep.sandwich_ok
     assert (rep.form_min, rep.form_max) == (w[0], w[-1])
+
+
+def test_dual_bounds_forms_one_plain_sum_for_both_resolution_sums(monkeypatch):
+    """``frame_operator`` forms ``S_plain`` for ``S``; the dual-atom resolution and the dual form share one more."""
+    calls = []
+    plain = ANALYSIS.plain_frame_operator
+
+    def spy(family):
+        calls.append(family)
+        return plain(family)
+
+    for module in (ANALYSIS, RESOLUTION):
+        monkeypatch.setattr(module, "plain_frame_operator", spy)
+    rep = dual_resolution_bounds(diag_family(3, equal_controls=True))
+    assert rep.verdict == "pass"
+    assert len(calls) == 2
